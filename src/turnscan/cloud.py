@@ -72,11 +72,6 @@ class KdIndex:
         idx = np.take_along_axis(idx, order, axis=1)
         return (dist[0], idx[0]) if single else (dist, idx)
 
-    def query_radius(self, point: Array, radius: float) -> Array:
-        """Indices within radius, ascending."""
-        found = self._tree.query_ball_point(np.asarray(point, dtype=np.float64), radius)
-        return np.sort(np.asarray(found, dtype=np.int64))
-
 
 def _take(cloud: PointCloud, mask_or_idx) -> PointCloud:
     return PointCloud(

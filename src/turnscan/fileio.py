@@ -370,6 +370,8 @@ def read_json_file(path: str | Path) -> dict:
         payload = json.loads(data)
     except json.JSONDecodeError as exc:
         raise ParseError("invalid JSON", offset=exc.pos, expected="valid JSON") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError("undecodable text", offset=exc.start, expected="UTF-8") from exc
     if not isinstance(payload, dict):
         raise ParseError("top level is not an object", offset=0, expected="JSON object")
     return payload

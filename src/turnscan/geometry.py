@@ -264,6 +264,20 @@ def project_points(cam: PinholeCamera, points: Array) -> tuple[Array, Array]:
     return uv, in_front
 
 
+def pixel_rays(cam: PinholeCamera) -> Array:
+    """Camera-frame ray directions with unit z, one per pixel (row-major)."""
+    gu, gv = np.meshgrid(
+        np.arange(cam.width, dtype=np.float64), np.arange(cam.height, dtype=np.float64)
+    )
+    return np.column_stack(
+        [
+            ((gu - cam.cx) / cam.fx).ravel(),
+            ((gv - cam.cy) / cam.fy).ravel(),
+            np.ones(cam.width * cam.height),
+        ]
+    )
+
+
 def backproject(cam: PinholeCamera, d: DepthMap) -> PointCloud:
     """Lift every valid depth pixel to a camera-frame 3D point.
 

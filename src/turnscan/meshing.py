@@ -12,18 +12,18 @@ same convention holds for signed-distance inputs to marching_cubes.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.fft import dstn, idstn
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from ._mc_tables import EDGE_TABLE, TRI_TABLE
 from .cloud import KdIndex
 from .errors import MissingNormals, ValidationError
 from .geometry import Array, PointCloud, TriangleMesh
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -67,7 +67,6 @@ class VectorGrid:
 
 
 class PoissonInfo(NamedTuple):
-    converged: bool
     iterations: int
     residual: float
 
@@ -139,66 +138,44 @@ def _divergence(v: VectorGrid) -> Array:
     return div
 
 
-def solve_poisson(
-    v: VectorGrid, tol: float, max_iter: int
-) -> tuple[ScalarGrid, PoissonInfo]:
+def _neg_laplacian(x: Array, spacing: float) -> Array:
+    """7-point -lap(x) on the interior nodes; zero on the boundary layer."""
+    out = np.zeros_like(x)
+    out[1:-1, 1:-1, 1:-1] = (
+        6.0 * x[1:-1, 1:-1, 1:-1]
+        - x[:-2, 1:-1, 1:-1]
+        - x[2:, 1:-1, 1:-1]
+        - x[1:-1, :-2, 1:-1]
+        - x[1:-1, 2:, 1:-1]
+        - x[1:-1, 1:-1, :-2]
+        - x[1:-1, 1:-1, 2:]
+    ) / (spacing * spacing)
+    return out
+
+
+def solve_poisson(v: VectorGrid) -> tuple[ScalarGrid, PoissonInfo]:
     """Solve lap(chi) = div(V) with chi = 0 on the grid boundary.
 
-    Conjugate gradient on the 7-point Laplacian, fixed reduction order,
-    run to relative residual <= tol or max_iter (flagged, partial field
-    still returned).
+    The 7-point Laplacian under zero-Dirichlet boundaries is diagonalised
+    by the type-I discrete sine transform of the interior nodes, so the
+    discrete system is solved exactly (to rounding) by one forward
+    transform, a division by the eigenvalues and one inverse transform.
+    The reported residual is the relative 7-point residual of the result.
     """
-    if tol <= 0:
-        raise ValidationError("tolerance must be positive")
-    if max_iter < 1:
-        raise ValidationError("need at least one iteration")
-    h2 = v.spacing * v.spacing
     b = -_divergence(v)  # A = -lap is positive definite under Dirichlet
-
-    def apply_a(x: Array) -> Array:
-        out = np.zeros_like(x)
-        out[1:-1, 1:-1, 1:-1] = (
-            6.0 * x[1:-1, 1:-1, 1:-1]
-            - x[:-2, 1:-1, 1:-1]
-            - x[2:, 1:-1, 1:-1]
-            - x[1:-1, :-2, 1:-1]
-            - x[1:-1, 2:, 1:-1]
-            - x[1:-1, 1:-1, :-2]
-            - x[1:-1, 1:-1, 2:]
-        ) / h2
-        return out
-
     x = np.zeros(v.dims)
-    r = b.copy()
-    r[0, :, :] = r[-1, :, :] = 0.0
-    r[:, 0, :] = r[:, -1, :] = 0.0
-    r[:, :, 0] = r[:, :, -1] = 0.0
-    b_norm = float(np.linalg.norm(r))
-    if b_norm == 0.0:
-        return ScalarGrid(v.dims, v.origin, v.spacing, x), PoissonInfo(True, 0, 0.0)
-    p = r.copy()
-    rs_old = float(np.dot(r.ravel(), r.ravel()))
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        ap = apply_a(p)
-        alpha = rs_old / float(np.dot(p.ravel(), ap.ravel()))
-        x += alpha * p
-        r -= alpha * ap
-        rs_new = float(np.dot(r.ravel(), r.ravel()))
-        if np.sqrt(rs_new) <= tol * b_norm:
-            converged = True
-            break
-        p = r + (rs_new / rs_old) * p
-        rs_old = rs_new
-    residual = float(np.sqrt(float(np.dot(r.ravel(), r.ravel())))) / b_norm
-    if not converged:
-        log.warning(
-            "poisson solve stopped at %d iterations, residual %.3g", iterations, residual
-        )
-    return ScalarGrid(v.dims, v.origin, v.spacing, x), PoissonInfo(
-        converged, iterations, residual
-    )
+    b_norm = float(np.linalg.norm(b))
+    if b_norm == 0.0:  # includes every grid without interior nodes
+        return ScalarGrid(v.dims, v.origin, v.spacing, x), PoissonInfo(1, 0.0)
+    interior = (slice(1, -1),) * 3
+    eigen = [
+        (2.0 - 2.0 * np.cos(np.pi * np.arange(1, n - 1) / (n - 1))) / v.spacing**2
+        for n in v.dims
+    ]
+    denom = eigen[0][:, None, None] + eigen[1][None, :, None] + eigen[2][None, None, :]
+    x[interior] = idstn(dstn(b[interior], type=1) / denom, type=1)
+    residual = float(np.linalg.norm(b - _neg_laplacian(x, v.spacing))) / b_norm
+    return ScalarGrid(v.dims, v.origin, v.spacing, x), PoissonInfo(1, residual)
 
 
 # Cube corners in the table convention: z-level-major, circular (x, y).
@@ -318,30 +295,21 @@ def largest_component(mesh: TriangleMesh) -> TriangleMesh:
     if len(mesh.triangles) == 0:
         return mesh
     n = len(mesh.vertices)
-    parent = np.arange(n)
-
-    def find(i: int) -> int:
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
-
-    for a, b, c in mesh.triangles:
-        ra, rb, rc = find(a), find(b), find(c)
-        lead = min(ra, rb, rc)
-        parent[ra] = parent[rb] = parent[rc] = lead
-    roots = np.array([find(i) for i in range(n)])
+    t = mesh.triangles
+    edges = coo_matrix(
+        (np.ones(2 * len(t)), (t[:, :2].ravel(), t[:, 1:].ravel())), shape=(n, n)
+    )
+    _, labels = connected_components(edges, directed=False)
     used = np.zeros(n, dtype=bool)
-    used[mesh.triangles.ravel()] = True
-    counts = np.bincount(roots[used], minlength=n)
-    winner = int(np.argmax(counts))  # argmax takes the smallest index on ties
-    keep_vertex = (roots == winner) & used
+    used[t.ravel()] = True
+    sizes = np.bincount(labels, weights=used)
+    # the smallest used vertex index that sits in a largest component
+    winner = labels[np.flatnonzero(used & (sizes[labels] == sizes.max()))[0]]
+    keep_vertex = (labels == winner) & used
     remap = -np.ones(n, dtype=np.int64)
     remap[keep_vertex] = np.arange(int(keep_vertex.sum()))
-    keep_tri = keep_vertex[mesh.triangles[:, 0]]
-    tris = remap[mesh.triangles[keep_tri]]
+    keep_tri = keep_vertex[t[:, 0]]
+    tris = remap[t[keep_tri]]
     colors = None if mesh.vertex_colors is None else mesh.vertex_colors[keep_vertex]
     return TriangleMesh(mesh.vertices[keep_vertex], tris, vertex_colors=colors)
 
@@ -399,11 +367,7 @@ def refine_vertices(
 
 
 def reconstruct_mesh(
-    pts: PointCloud,
-    dims,
-    tol: float = 1e-6,
-    max_iter: int = 2000,
-    margin_mm: float | None = None,
+    pts: PointCloud, dims, margin_mm: float | None = None
 ) -> TriangleMesh:
     """Oriented points to watertight mesh: splat, solve, extract.
 
@@ -417,8 +381,6 @@ def reconstruct_mesh(
         extent = pts.positions.max(axis=0) - pts.positions.min(axis=0)
         margin_mm = 0.10 * float(np.max(extent))
     field = splat_normal_field(pts, dims, margin_mm)
-    chi, info = solve_poisson(field, tol, max_iter)
-    if not info.converged:
-        log.warning("indicator field solve did not reach tolerance %.1e", tol)
+    chi, _ = solve_poisson(field)
     iso = float(np.mean(sample_trilinear(chi, pts.positions)))
     return largest_component(marching_cubes(chi, iso))

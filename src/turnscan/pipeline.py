@@ -45,7 +45,6 @@ from .errors import (
     EmptyInput,
     IoFailure,
     MissingCorners,
-    NumericalError,
     TurnscanError,
     ValidationError,
 )
@@ -58,13 +57,14 @@ from .geometry import (
     backproject,
     compose,
     invert,
+    pixel_rays,
     project_points,
     transform_points,
 )
 from .meshing import reconstruct_mesh, refine_vertices
 from .registration import IcpParams, colored_icp, initial_flip_guess, trim_overlap_band
 from .session import CaptureSession
-from .texturing import redye_mesh
+from .texturing import bilinear_sample, redye_mesh
 
 Array = np.ndarray
 
@@ -210,18 +210,9 @@ class EvaluationReport:
 # ---------------------------------------------------------------------------
 
 
-def _retag(exc: TurnscanError, stage: str, scene: int | None) -> TurnscanError:
-    label = f"[stage={stage}" + (f" scene={scene}" if scene is not None else "") + "]"
-    message = f"{label} {exc}"
-    try:
-        return type(exc)(message)
-    except TypeError:
-        base = NumericalError if isinstance(exc, NumericalError) else ValidationError
-        return base(message)
-
-
 class _stage_context:
-    """Re-raise any pipeline error with its stage and scene identified."""
+    """Prefix the stage and scene onto any pipeline error passing through;
+    the error keeps its type and attributes."""
 
     def __init__(self, stage: str, scene: int | None = None):
         self.stage = stage
@@ -231,8 +222,9 @@ class _stage_context:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if exc is not None and isinstance(exc, TurnscanError):
-            raise _retag(exc, self.stage, self.scene) from exc
+        if isinstance(exc, TurnscanError):
+            scene = "" if self.scene is None else f" scene={self.scene}"
+            exc.args = (f"[stage={self.stage}{scene}] {exc}",)
         return False
 
 
@@ -261,24 +253,6 @@ def _stage_dir(session: CaptureSession, out_dir, stage: str) -> Path:
     except OSError as exc:
         raise IoFailure(f"cannot create artifact directory {path}: {exc}") from exc
     return path
-
-
-def _identity() -> RigidTransform:
-    return RigidTransform(np.eye(3), np.zeros(3))
-
-
-def _sample_colors(image: RgbImage, uv: Array) -> Array:
-    """Bilinear RGB sample in [0, 1] at subpixel positions inside the image."""
-    pix = image.pixels.astype(np.float64) / 255.0
-    u = np.clip(uv[:, 0], 0.0, image.width - 1.0)
-    v = np.clip(uv[:, 1], 0.0, image.height - 1.0)
-    u0 = np.clip(np.floor(u).astype(np.int64), 0, image.width - 2)
-    v0 = np.clip(np.floor(v).astype(np.int64), 0, image.height - 2)
-    fu = (u - u0)[:, None]
-    fv = (v - v0)[:, None]
-    top = pix[v0, u0] * (1 - fu) + pix[v0, u0 + 1] * fu
-    bottom = pix[v0 + 1, u0] * (1 - fu) + pix[v0 + 1, u0 + 1] * fu
-    return top * (1 - fv) + bottom * fv
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +435,7 @@ def _process_scene(session, record, pose_depth, pose_rgb, alpha, box, config) ->
             & (uv[:, 1] <= session.rgb_camera.height - 1)
         )
         positions = denoised.positions[in_frame]
-        colors = _sample_colors(image, uv[in_frame])
+        colors = bilinear_sample(image.pixels / 255.0, uv[in_frame])
         if len(positions) == 0:
             raise EmptyInput("no cropped point projects into the RGB view")
     with _stage_context("normals", record.index):
@@ -503,6 +477,7 @@ def run_reconstruct(
         )
 
     clouds = _parallel_map(process, list(session.scenes), _worker_count(config))
+    identity = RigidTransform.identity()
 
     fused: dict[bool, PointCloud] = {}
     for flipped in (False, True):
@@ -514,7 +489,7 @@ def run_reconstruct(
         if not members:
             continue
         with _stage_context("fuse"):
-            combined = fuse([(cloud, _identity()) for cloud in members])
+            combined = fuse([(cloud, identity) for cloud in members])
             fused[flipped] = voxel_downsample(combined, config.fusion_voxel_mm)
         name = "fused_flipped.ply" if flipped else "fused_upright.ply"
         fileio.write_point_cloud(stage_dir / name, fused[flipped])
@@ -524,6 +499,7 @@ def run_reconstruct(
 
     rmse = float("nan")
     converged = True
+    total = identity
     single_orientation = len(fused) == 1
     if single_orientation:
         warnings.warn(
@@ -540,14 +516,14 @@ def run_reconstruct(
             moved = transform_points(guess, flipped_cloud)
             band_source = trim_overlap_band(moved, config.trim_fraction)
             band_target = trim_overlap_band(upright, config.trim_fraction)
-            result = colored_icp(band_source, band_target, _identity(), config.icp_params())
+            result = colored_icp(band_source, band_target, identity, config.icp_params())
             total = compose(result.transform, guess)
             aligned = transform_points(total, flipped_cloud)
             rmse = result.final_rmse
             converged = result.converged
         with _stage_context("merge"):
             merged = voxel_downsample(
-                fuse([(upright, _identity()), (aligned, _identity())]),
+                fuse([(upright, identity), (aligned, identity)]),
                 config.fusion_voxel_mm,
             )
     fileio.write_point_cloud(stage_dir / "merged.ply", merged)
@@ -558,10 +534,15 @@ def run_reconstruct(
     fileio.write_mesh(stage_dir / "mesh.ply", mesh)
 
     with _stage_context("redye"):
+        # the mesh lives in the upright frame; flipped scenes see it through
+        # the inverse of the flip registration
         views = []
         for record in session.scenes:
             image = fileio.read_image_ppm(session.resolve(record.rgb_path))
-            views.append((image, session.rgb_camera, bundle.rgb_poses[record.index]))
+            pose = bundle.rgb_poses[record.index]
+            if record.flipped:
+                pose = compose(pose, invert(total))
+            views.append((image, session.rgb_camera, pose))
         dyed, redye_report = redye_mesh(
             mesh, views, radius_factor=config.redye_radius_factor, mode=config.redye_mode
         )
@@ -633,19 +614,6 @@ def _rasterize_mesh_mask(
     return mask
 
 
-def _camera_ray_dirs(cam: PinholeCamera) -> Array:
-    u = np.arange(cam.width, dtype=np.float64)
-    v = np.arange(cam.height, dtype=np.float64)
-    gu, gv = np.meshgrid(u, v)
-    return np.column_stack(
-        [
-            ((gu - cam.cx) / cam.fx).ravel(),
-            ((gv - cam.cy) / cam.fy).ravel(),
-            np.ones(cam.width * cam.height),
-        ]
-    )
-
-
 def _ground_truth_mask(
     truth: simulator.GroundTruth,
     flipped: bool,
@@ -653,7 +621,7 @@ def _ground_truth_mask(
     ref_to_cam: RigidTransform,
 ) -> Array:
     """Boolean silhouette of the true object rendered analytically."""
-    dirs_cam = _camera_ray_dirs(cam)
+    dirs_cam = pixel_rays(cam)
     cam_to_ref = invert(ref_to_cam)
     origin = cam_to_ref.translation
     dirs_ref = dirs_cam @ cam_to_ref.rotation.T

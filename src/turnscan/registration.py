@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cloud import KdIndex, voxel_downsample
+from .cloud import KdIndex, _take, voxel_downsample
 from .errors import (
     BadFraction,
     EmptyCloud,
@@ -116,11 +116,7 @@ def trim_overlap_band(pts: PointCloud, fraction: float) -> PointCloud:
     mid = (z_min + z_max) / 2
     half = fraction * (z_max - z_min) / 2
     keep = np.abs(z - mid) <= half
-    return PointCloud(
-        pts.positions[keep],
-        colors=None if pts.colors is None else pts.colors[keep],
-        normals=None if pts.normals is None else pts.normals[keep],
-    )
+    return _take(pts, keep)
 
 
 def _canonical_frame(positions: Array) -> RigidTransform:

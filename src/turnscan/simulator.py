@@ -30,6 +30,7 @@ from .geometry import (
     axis_angle,
     compose,
     invert,
+    pixel_rays,
     rotation_x,
     rotation_y,
     rotation_z,
@@ -409,20 +410,6 @@ def _true_poses(
     return ScenePoses(ref_to_depth=compose(rig.t_relative, true_rgb), ref_to_rgb=true_rgb)
 
 
-def _pixel_dirs(cam: PinholeCamera) -> Array:
-    """Camera-frame ray directions with unit z, one per pixel (row-major)."""
-    u = np.arange(cam.width, dtype=np.float64)
-    v = np.arange(cam.height, dtype=np.float64)
-    gu, gv = np.meshgrid(u, v)
-    return np.column_stack(
-        [
-            ((gu - cam.cx) / cam.fx).ravel(),
-            ((gv - cam.cy) / cam.fy).ravel(),
-            np.ones(cam.width * cam.height),
-        ]
-    )
-
-
 def _cast_scene(
     scene: SceneDescription, cam_pose: RigidTransform, dirs_cam: Array
 ) -> tuple[Array, Array, Array]:
@@ -550,7 +537,7 @@ def render_scene(
     poses = _true_poses(rig, angle_index, arm_index, _jitter(rng, noise))
 
     depth_cam = rig.depth_camera
-    t_all, _, _ = _cast_scene(scene, poses.ref_to_depth, _pixel_dirs(depth_cam))
+    t_all, _, _ = _cast_scene(scene, poses.ref_to_depth, pixel_rays(depth_cam))
     values = np.where(np.isfinite(t_all), t_all, -1.0).reshape(depth_cam.height, depth_cam.width)
     valid = values > 0.0
     values = np.where(valid, values * noise.depth_bias, values)
@@ -563,7 +550,7 @@ def render_scene(
     depth = DepthMap(depth_cam.width, depth_cam.height, values)
 
     rgb_cam = rig.rgb_camera
-    dirs_cam = _pixel_dirs(rgb_cam)
+    dirs_cam = pixel_rays(rgb_cam)
     t_rgb, t_obj, dirs_ref = _cast_scene(scene, poses.ref_to_rgb, dirs_cam)
     origin = invert(poses.ref_to_rgb).translation
     colors = _shade(rig, scene, origin, dirs_ref, t_rgb, t_obj)

@@ -156,7 +156,7 @@ def _vertex_normals(mesh: TriangleMesh) -> Array:
     return normals / lengths[:, None]
 
 
-def _bilinear_sample(image: Array, uv: Array) -> Array:
+def bilinear_sample(image: Array, uv: Array) -> Array:
     """Sample an (H, W, 3) float image at continuous pixel coordinates."""
     u, v = uv[:, 0], uv[:, 1]
     u0 = np.floor(u).astype(np.int64)
@@ -231,7 +231,7 @@ def redye_mesh(
         if not np.any(usable):
             continue
         img = image.pixels.astype(np.float64) / 255.0
-        colors = _bilinear_sample(img, uv[usable])
+        colors = bilinear_sample(img, uv[usable])
         accum[usable] += w[usable, None] * colors
         weight_sum[usable] += w[usable]
         better = usable & (w > best_weight)

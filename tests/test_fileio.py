@@ -179,6 +179,10 @@ def test_json_roundtrip_and_parse_error(tmp_path):
     with pytest.raises(errors.ParseError) as excinfo:
         fileio.read_json_file(path)
     assert "byte" in str(excinfo.value)
+    path.write_bytes(b'{"a": "b\xffc"}')
+    with pytest.raises(errors.ParseError) as excinfo:
+        fileio.read_json_file(path)
+    assert (excinfo.value.offset, excinfo.value.expected) == (8, "UTF-8")
 
 
 def test_pose_rows_roundtrip():

@@ -79,9 +79,12 @@ def test_splat_cell_center_spreads_eighth_weights():
 
 def test_poisson_zero_field_gives_zero():
     v = VectorGrid((9, 9, 9), np.zeros(3), 1.0, np.zeros((9, 9, 9, 3)))
-    chi, info = solve_poisson(v, tol=1e-8, max_iter=100)
-    assert info.converged
+    chi, info = solve_poisson(v)
+    assert info.residual == 0.0
     np.testing.assert_array_equal(chi.values, 0.0)
+    # a grid two nodes thick has no interior, so its field is zero too
+    thin = VectorGrid((2, 9, 9), np.zeros(3), 1.0, np.ones((2, 9, 9, 3)))
+    np.testing.assert_array_equal(solve_poisson(thin)[0].values, 0.0)
 
 
 def _mms_error(n):
@@ -101,8 +104,7 @@ def _mms_error(n):
         axis=-1,
     )
     v = VectorGrid((n, n, n), np.zeros(3), spacing, grad)
-    chi, info = solve_poisson(v, tol=1e-10, max_iter=5000)
-    assert info.converged
+    chi, _ = solve_poisson(v)
     return np.linalg.norm(chi.values - chi_true) / np.linalg.norm(chi_true)
 
 
@@ -112,20 +114,16 @@ def test_poisson_manufactured_solution_second_order():
     assert errors_by_n[1] / errors_by_n[2] >= 3.5
 
 
-def test_poisson_flags_nonconvergence():
-    rng = np.random.default_rng(0)
-    v = VectorGrid((9, 9, 9), np.zeros(3), 1.0, rng.normal(size=(9, 9, 9, 3)))
-    chi, info = solve_poisson(v, tol=1e-12, max_iter=1)
-    assert not info.converged
-    assert chi.values.shape == (9, 9, 9)
-
-
 def test_poisson_residual_bounded_on_convergence():
+    # the sine-transform solve is exact, on cubic and non-cubic grids alike
     rng = np.random.default_rng(1)
-    v = VectorGrid((17, 17, 17), np.zeros(3), 0.5, rng.normal(size=(17, 17, 17, 3)))
-    chi, info = solve_poisson(v, tol=1e-8, max_iter=2000)
-    assert info.converged
-    assert info.residual <= 1e-8
+    for dims in ((17, 17, 17), (9, 12, 17)):
+        v = VectorGrid(dims, np.zeros(3), 0.5, rng.normal(size=dims + (3,)))
+        chi, info = solve_poisson(v)
+        assert info.iterations == 1
+        assert info.residual <= 1e-10
+        for face in (chi.values[[0, -1]], chi.values[:, [0, -1]], chi.values[:, :, [0, -1]]):
+            np.testing.assert_array_equal(face, 0.0)
 
 
 # ---------------------------------------------------------- marching cubes
@@ -197,7 +195,7 @@ def test_largest_component_drops_satellite():
 
 def test_reconstruct_sphere_rms_below_spacing():
     cloud = sphere_cloud(n=20000, radius=40.0)
-    mesh = reconstruct_mesh(cloud, dims=64, tol=1e-6)
+    mesh = reconstruct_mesh(cloud, dims=64)
     assert len(mesh.triangles) > 1000
     radii = np.linalg.norm(mesh.vertices, axis=1)
     rms = np.sqrt(np.mean((radii - 40.0) ** 2))
@@ -215,8 +213,8 @@ def test_reconstruct_translation_equivariance():
     cloud = sphere_cloud(n=4000, radius=20.0, seed=5)
     shift = np.array([13.25, -7.5, 3.125])
     moved = PointCloud(cloud.positions + shift, normals=cloud.normals)
-    a = reconstruct_mesh(cloud, dims=24, tol=1e-8, margin_mm=5.0)
-    b = reconstruct_mesh(moved, dims=24, tol=1e-8, margin_mm=5.0)
+    a = reconstruct_mesh(cloud, dims=24, margin_mm=5.0)
+    b = reconstruct_mesh(moved, dims=24, margin_mm=5.0)
     assert len(a.vertices) == len(b.vertices)
     np.testing.assert_allclose(a.vertices + shift, b.vertices, atol=1e-9)
     np.testing.assert_array_equal(a.triangles, b.triangles)

@@ -1,12 +1,19 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from turnscan import fileio
 from turnscan import simulator as sim
-from turnscan.errors import EmptyInput, MissingCorners, NumericalError, ValidationError
+from turnscan.errors import (
+    EmptyInput,
+    MissingCorners,
+    NumericalError,
+    ParseError,
+    ValidationError,
+)
 from turnscan.pipeline import (
     CalibrationBundle,
     PipelineConfig,
@@ -125,6 +132,36 @@ def test_reconstruct_is_deterministic_across_worker_counts(
         "report.json",
     ):
         assert (tmp_path / "a" / "reconstruct" / name).is_file()
+
+
+def test_redye_colors_flipped_views_from_the_registered_pose(
+    clean_session, clean_bundle, tmp_path
+):
+    result = run_reconstruct(clean_session, clean_bundle, FAST, tmp_path)
+    mesh = result.mesh
+    assert result.unseen_vertex_count <= 0.01 * len(mesh.vertices)
+    seen = ~np.all(mesh.vertex_colors == 0.5, axis=1)  # unseen keep the prior grey
+    painted = sim.default_scene().texture.colors_at(mesh.vertices[seen])
+    assert np.mean(np.abs(mesh.vertex_colors[seen] - painted)) * 255.0 <= 30.0
+
+
+def test_corrupt_depth_keeps_parse_error_through_stage_tag(
+    clean_dir, clean_session, clean_bundle, tmp_path
+):
+    record = clean_session.scenes[2]
+    relative = Path(record.depth_path).with_name("truncated.pfm")
+    truncated = clean_session.resolve(relative.as_posix())
+    truncated.write_bytes(clean_session.resolve(record.depth_path).read_bytes()[:-100])
+
+    def point_at_truncated(payload):
+        payload["scenes"][2]["depth"] = relative.as_posix()
+
+    manifest = rewrite_manifest(clean_dir, "session_truncated.json", point_at_truncated)
+    session = load_session(manifest)
+    with pytest.raises(ParseError) as caught:
+        run_reconstruct(session, clean_bundle, FAST, tmp_path)
+    assert caught.value.offset == len(truncated.read_bytes())
+    assert "stage=read scene=2" in str(caught.value)
 
 
 def test_skipping_scale_correction_hurts_dimensions(
@@ -335,6 +372,15 @@ def test_cli_missing_session_exits_2(tmp_path, capsys):
     rc = cli_main(["calibrate", "--session", str(tmp_path / "absent.json")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_non_utf8_session_exits_2(clean_dir, tmp_path, capsys):
+    data = (clean_dir / "session.json").read_bytes()
+    bad = tmp_path / "session.json"
+    bad.write_bytes(data[:10] + b"\xff" + data[11:])
+    rc = cli_main(["calibrate", "--session", str(bad)])
+    assert rc == 2
+    assert "UTF-8" in capsys.readouterr().err
 
 
 def test_cli_bad_config_exits_2(clean_dir, tmp_path, capsys):
