@@ -221,6 +221,11 @@ class CheckerTexture:
 
     def colors_at(self, points: Array) -> Array:
         cells = np.floor(points / self.pitch_mm).astype(np.int64)
+        # Solids rest on the table plane z = 0, a lattice plane. Points at or
+        # below it take the lowest layer's color, so a face lying on the table
+        # has one color: otherwise the rounding of each hit point (and a
+        # reconstructed vertex a fraction of a millimetre low) picks the layer.
+        cells[:, 2] = np.maximum(cells[:, 2], 0)
         parity = cells.sum(axis=1) % 2
         a = np.asarray(self.color_a, dtype=np.float64)
         b = np.asarray(self.color_b, dtype=np.float64)

@@ -4,7 +4,7 @@ import pytest
 from turnscan import errors, fileio
 from turnscan import simulator as sim
 from turnscan.calibration import estimate_pose_pnp, estimate_scale_scene, fit_plane_ransac
-from turnscan.geometry import PointCloud, RigidTransform, backproject, compose, invert
+from turnscan.geometry import PointCloud, RigidTransform, backproject, compose, invert, pixel_rays
 from turnscan.session import load_session
 
 
@@ -191,6 +191,9 @@ def test_checker_and_gradient_textures():
     assert np.array_equal(colors[1], [0.0, 0.0, 1.0])
     assert np.array_equal(colors[2], [1.0, 0.0, 0.0])
     assert np.array_equal(colors[3], [0.0, 0.0, 1.0])
+    # at and below the table plane z = 0 the lowest layer continues
+    below = checker.colors_at(np.array([[1.0, 1.0, 1e-13], [1.0, 1.0, -1e-13], [1.0, 1.0, -0.4]]))
+    assert np.array_equal(below, np.tile([1.0, 0.0, 0.0], (3, 1)))
 
     grad = sim.AxisGradientTexture(axis=2, low_mm=0.0, high_mm=10.0, color_low=(0.0, 0.0, 0.0), color_high=(1.0, 1.0, 1.0))
     ramp = grad.colors_at(np.array([[0.0, 0.0, -5.0], [0.0, 0.0, 5.0], [0.0, 0.0, 25.0]]))
@@ -275,6 +278,33 @@ def test_depth_noise_statistics():
     residual = noisy.values[mask] - clean.values[mask]
     assert abs(np.std(residual) - 0.5) < 0.02
     assert abs(np.mean(residual)) < 0.02
+
+
+def test_flipped_box_bottom_renders_the_lowest_checker_layer():
+    """The bottom face lies on the z = 0 lattice plane; flipped views must
+    paint it with the layer just inside the box, whatever the rounding of
+    each hit point."""
+    rig = sim.default_rig()
+    scene = sim.default_scene()
+    flipped = sim.SceneDescription(scene.solid, scene.texture, flipped=True)
+    _, image, _, poses = sim.render_scene(rig, flipped, 0, 0, sim.NoiseModel())
+
+    cam_to_ref = invert(poses.ref_to_rgb)
+    flip = sim.flip_transform(scene.solid)
+    origin = flip.apply(cam_to_ref.translation)
+    dirs = pixel_rays(rig.rgb_camera) @ cam_to_ref.rotation.T @ flip.rotation.T
+    t = scene.solid.ray_hits(origin, dirs)
+    hit = np.isfinite(t)
+    pts = origin + t[hit, None] * dirs[hit]  # upright object frame
+    pitch = scene.texture.pitch_mm
+    off_lines = np.all(np.abs(pts[:, :2] / pitch - np.rint(pts[:, :2] / pitch)) * pitch > 0.5, axis=1)
+    bottom = (np.abs(pts[:, 2]) < 1e-6) & off_lines
+    assert bottom.sum() > 1000
+
+    inside = pts[bottom] + np.array([0.0, 0.0, 1.0])
+    expected = np.rint(scene.texture.colors_at(inside) * 255.0)
+    rendered = image.pixels.reshape(-1, 3)[hit][bottom]
+    assert np.all(np.abs(rendered - expected) <= 1)
 
 
 def test_rgb_render_shows_both_checker_colors():
