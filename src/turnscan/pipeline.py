@@ -85,6 +85,11 @@ __all__ = [
 ]
 
 
+def _check_view_indices(views) -> None:
+    if any(isinstance(v, bool) or not isinstance(v, int) or v < 0 for v in views):
+        raise ValidationError(f"eval_views must be non-negative integers, got {views!r}")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Tunable knobs for all stages; defaults suit the built-in rig."""
@@ -118,6 +123,12 @@ class PipelineConfig:
             raise ValidationError("fusion voxel must be positive")
         if not 0.0 < self.trim_fraction <= 1.0:
             raise ValidationError("trim fraction must lie in (0, 1]")
+        if not isinstance(self.eval_views, tuple) or not self.eval_views:
+            raise ValidationError(
+                f"eval_views must be a nonempty tuple (a JSON list) of view indices,"
+                f" got {self.eval_views!r}"
+            )
+        _check_view_indices(self.eval_views)
 
     def icp_params(self) -> IcpParams:
         return IcpParams(
@@ -575,43 +586,69 @@ def run_reconstruct(
 # ---------------------------------------------------------------------------
 
 
+# Candidate pixels tested per pass of the rasterizer. It bounds the working
+# memory for any mesh, at about 120 bytes per candidate; a pass always takes
+# whole triangles, at least one.
+_RASTER_CHUNK = 1 << 20
+
+
 def _rasterize_mesh_mask(
     mesh: TriangleMesh, cam: PinholeCamera, ref_to_cam: RigidTransform
 ) -> Array:
-    """Boolean silhouette of the mesh in the given camera view."""
+    """Boolean silhouette of the mesh in the given camera view.
+
+    A pixel centre is covered when its barycentric coordinates in some
+    triangle's projection all lie within 1e-12 of [0, 1], edges inclusive
+    (the edge-function test of Pineda, SIGGRAPH 1988). Triangles with a
+    vertex at camera z <= 1e-9 or a projected area below 1e-12 cover
+    nothing. Every pixel of every triangle's clipped bounding box is tested
+    in one array pass, over consecutive chunks of whole triangles.
+    """
     cam_pts = ref_to_cam.apply(mesh.vertices)
-    z = cam_pts[:, 2]
-    safe_z = np.where(z > 1e-9, z, 1.0)
-    u = cam.fx * cam_pts[:, 0] / safe_z + cam.cx
-    v = cam.fy * cam_pts[:, 1] / safe_z + cam.cy
-    mask = np.zeros((cam.height, cam.width), dtype=bool)
-    in_front = z > 1e-9
-    for tri in mesh.triangles:
-        if not np.all(in_front[tri]):
-            continue
-        tu, tv = u[tri], v[tri]
-        u_lo = max(int(np.ceil(tu.min())), 0)
-        u_hi = min(int(np.floor(tu.max())), cam.width - 1)
-        v_lo = max(int(np.ceil(tv.min())), 0)
-        v_hi = min(int(np.floor(tv.max())), cam.height - 1)
-        if u_lo > u_hi or v_lo > v_hi:
-            continue
-        gu, gv = np.meshgrid(
-            np.arange(u_lo, u_hi + 1, dtype=np.float64),
-            np.arange(v_lo, v_hi + 1, dtype=np.float64),
-        )
-        ax, ay = tu[0], tv[0]
-        e1u, e1v = tu[1] - ax, tv[1] - ay
-        e2u, e2v = tu[2] - ax, tv[2] - ay
-        area = e1u * e2v - e1v * e2u
-        if abs(area) < 1e-12:
-            continue
-        pu, pv = gu - ax, gv - ay
-        w1 = (pu * e2v - pv * e2u) / area
-        w2 = (e1u * pv - e1v * pu) / area
+    uv, _ = project_points(cam, cam_pts)
+    tris = mesh.triangles
+    corners = uv[tris]  # (m, 3, 2)
+    size = np.array([cam.width, cam.height], dtype=np.float64)
+    # clipped boxes stay empty (lo > hi) exactly when the unclipped ones do
+    lo = np.clip(np.ceil(corners.min(axis=1)), 0.0, size)
+    hi = np.clip(np.floor(corners.max(axis=1)), -1.0, size - 1.0)
+    a = corners[:, 0]
+    e1 = corners[:, 1] - a
+    e2 = corners[:, 2] - a
+    area = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    keep = (
+        np.all(cam_pts[:, 2][tris] > 1e-9, axis=1)
+        & np.all(lo <= hi, axis=1)
+        & (np.abs(area) >= 1e-12)
+    )
+    lo = lo[keep].astype(np.int64)
+    span = hi[keep].astype(np.int64) - lo + 1
+    a, e1, e2, area = a[keep], e1[keep], e2[keep], area[keep]
+    counts = span[:, 0] * span[:, 1]
+
+    starts = np.cumsum(counts) - counts
+    ends = starts + counts
+    mask = np.zeros(cam.height * cam.width, dtype=bool)
+    first = 0
+    while first < len(counts):
+        last = int(np.searchsorted(ends, starts[first] + _RASTER_CHUNK, side="right"))
+        last = max(last, first + 1)
+        owner = np.repeat(np.arange(first, last), counts[first:last])
+        offset = np.arange(starts[first], ends[last - 1]) - starts[owner]
+        row, col = np.divmod(offset, span[owner, 0])
+        gu = lo[owner, 0] + col
+        gv = lo[owner, 1] + row
+        pu = gu - a[owner, 0]
+        pv = gv - a[owner, 1]
+        e1u, e1v = e1[owner, 0], e1[owner, 1]
+        e2u, e2v = e2[owner, 0], e2[owner, 1]
+        tri_area = area[owner]
+        w1 = (pu * e2v - pv * e2u) / tri_area
+        w2 = (e1u * pv - e1v * pu) / tri_area
         inside = (w1 >= -1e-12) & (w2 >= -1e-12) & (w1 + w2 <= 1.0 + 1e-12)
-        mask[v_lo : v_hi + 1, u_lo : u_hi + 1] |= inside
-    return mask
+        mask[(gv * cam.width + gu)[inside]] = True
+        first = last
+    return mask.reshape(cam.height, cam.width)
 
 
 def _ground_truth_mask(
@@ -661,10 +698,23 @@ def run_evaluate(
     Writes ``out/evaluate/report.json`` and one overlay image per checked
     view (mesh silhouette boundary in red, true boundary in green over the
     captured RGB frame). The ground-truth sidecar must sit next to the
-    session manifest.
+    session manifest. ``views`` defaults to ``PipelineConfig().eval_views``;
+    indices past the session's scene count are skipped.
+
+    Raises
+    ------
+    ValidationError
+        If a view index is negative or not an integer, or no view is left.
     """
     if len(mesh.vertices) == 0 or len(mesh.triangles) == 0:
         raise EmptyInput("evaluation needs a nonempty mesh")
+    views = views if views is not None else PipelineConfig().eval_views
+    _check_view_indices(views)
+    # the default views suit sessions of any size because indices past the
+    # scene count are dropped
+    chosen = tuple(v for v in views if v < len(session.scenes))
+    if not chosen:
+        raise ValidationError("no valid evaluation views")
     reference = np.asarray(reference_dims, dtype=np.float64).reshape(3)
     stage_dir = _stage_dir(session, out_dir, "evaluate")
 
@@ -673,10 +723,6 @@ def run_evaluate(
 
     with _stage_context("evaluate"):
         truth = simulator.load_ground_truth(session.root / "ground_truth.json")
-
-    chosen = tuple(v for v in (views or PipelineConfig().eval_views) if v < len(session.scenes))
-    if not chosen:
-        raise ValidationError("no valid evaluation views")
 
     ious = []
     contour_dists = []

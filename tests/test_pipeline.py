@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +15,11 @@ from turnscan.errors import (
     ParseError,
     ValidationError,
 )
+from turnscan.geometry import PinholeCamera, RigidTransform, TriangleMesh
 from turnscan.pipeline import (
     CalibrationBundle,
     PipelineConfig,
+    _rasterize_mesh_mask,
     config_from_payload,
     load_bundle,
     run_calibrate,
@@ -257,6 +260,147 @@ def test_evaluate_rejects_empty_mesh(clean_session, clean_bundle, reference_dims
         run_evaluate(stripped, clean_session, clean_bundle, reference_dims, out_dir=tmp_path)
 
 
+def test_evaluate_rejects_empty_negative_and_non_integer_views(
+    clean_session, clean_bundle, reference_dims, tmp_path
+):
+    mesh = convex_hull_3d(np.eye(4)[:, :3] * 10.0)
+    for views in ((), (-1,), (0, -1), (1.5,), (True,), (99,)):
+        with pytest.raises(ValidationError):
+            run_evaluate(
+                mesh, clean_session, clean_bundle, reference_dims, views=views, out_dir=tmp_path
+            )
+
+
+def loop_rasterize(mesh, cam, ref_to_cam):
+    """Reference silhouette: the per-triangle loop the vectorised rasterizer
+    must reproduce bit for bit."""
+    cam_pts = ref_to_cam.apply(mesh.vertices)
+    z = cam_pts[:, 2]
+    safe_z = np.where(z > 1e-9, z, 1.0)
+    u = cam.fx * cam_pts[:, 0] / safe_z + cam.cx
+    v = cam.fy * cam_pts[:, 1] / safe_z + cam.cy
+    mask = np.zeros((cam.height, cam.width), dtype=bool)
+    in_front = z > 1e-9
+    for tri in mesh.triangles:
+        if not np.all(in_front[tri]):
+            continue
+        tu, tv = u[tri], v[tri]
+        u_lo = max(int(np.ceil(tu.min())), 0)
+        u_hi = min(int(np.floor(tu.max())), cam.width - 1)
+        v_lo = max(int(np.ceil(tv.min())), 0)
+        v_hi = min(int(np.floor(tv.max())), cam.height - 1)
+        if u_lo > u_hi or v_lo > v_hi:
+            continue
+        gu, gv = np.meshgrid(
+            np.arange(u_lo, u_hi + 1, dtype=np.float64),
+            np.arange(v_lo, v_hi + 1, dtype=np.float64),
+        )
+        ax, ay = tu[0], tv[0]
+        e1u, e1v = tu[1] - ax, tv[1] - ay
+        e2u, e2v = tu[2] - ax, tv[2] - ay
+        area = e1u * e2v - e1v * e2u
+        if abs(area) < 1e-12:
+            continue
+        pu, pv = gu - ax, gv - ay
+        w1 = (pu * e2v - pv * e2u) / area
+        w2 = (e1u * pv - e1v * pu) / area
+        inside = (w1 >= -1e-12) & (w2 >= -1e-12) & (w1 + w2 <= 1.0 + 1e-12)
+        mask[v_lo : v_hi + 1, u_lo : u_hi + 1] |= inside
+    return mask
+
+
+# At z = 100 mm with fx = fy = 100 px, a vertex (x, y, 100) projects to
+# exactly (x + cx, y + cy), so hand-made triangles land on chosen pixels.
+SMALL_CAM = PinholeCamera(fx=100.0, fy=100.0, cx=20.0, cy=15.0, width=40, height=30)
+VGA_CAM = PinholeCamera(fx=525.0, fy=525.0, cx=319.5, cy=239.5, width=640, height=480)
+IDENTITY = RigidTransform.identity()
+
+
+def pixel_mesh(*triangles, z=100.0):
+    """Mesh of triangles given as three (u, v) pixel positions on SMALL_CAM."""
+    uv = np.array(triangles, dtype=np.float64).reshape(-1, 2)
+    xyz = np.column_stack([uv[:, 0] - SMALL_CAM.cx, uv[:, 1] - SMALL_CAM.cy, np.full(len(uv), z)])
+    return TriangleMesh(xyz, np.arange(len(uv)).reshape(-1, 3))
+
+
+def assert_matches_loop(mesh, cam=SMALL_CAM, pose=IDENTITY):
+    mask = _rasterize_mesh_mask(mesh, cam, pose)
+    assert mask.shape == (cam.height, cam.width) and mask.dtype == bool
+    assert np.array_equal(mask, loop_rasterize(mesh, cam, pose))
+    return mask
+
+
+def test_rasterizer_matches_loop_on_hand_made_cases():
+    # zero area: three distinct collinear vertices cover nothing
+    assert not assert_matches_loop(pixel_mesh([(2, 2), (6, 6), (10, 10)])).any()
+    # both windings cover the same pixels
+    ccw = assert_matches_loop(pixel_mesh([(3, 4), (17, 6), (9, 20)]))
+    cw = assert_matches_loop(pixel_mesh([(3, 4), (9, 20), (17, 6)]))
+    assert ccw.any() and np.array_equal(ccw, cw)
+    # partly and wholly off the image
+    assert assert_matches_loop(pixel_mesh([(-10.5, -7.25), (25.5, 3.0), (4.0, 50.75)])).any()
+    assert not assert_matches_loop(pixel_mesh([(45, 2), (60, 5), (50, 20)])).any()
+    assert not assert_matches_loop(pixel_mesh([(-20, -9), (-3, -5), (-8, -30)])).any()
+    # a square split along its diagonal: pixel centres on the shared edge and
+    # on the outer edges are covered (edges are inclusive), the rest is not
+    square = assert_matches_loop(
+        pixel_mesh([(5, 5), (15, 5), (15, 15)], [(5, 5), (15, 15), (5, 15)])
+    )
+    assert square[5:16, 5:16].all() and square.sum() == 11 * 11
+    diagonal = assert_matches_loop(pixel_mesh([(5, 5), (15, 5), (15, 15)]))
+    assert all(diagonal[k, k] for k in range(5, 16))
+    # a vertex behind the camera (or on its plane) drops the triangle
+    behind = TriangleMesh(
+        np.array([[-5.0, -5.0, 100.0], [5.0, -5.0, 100.0], [0.0, 5.0, -50.0], [0.0, 5.0, 0.0]]),
+        np.array([[0, 1, 2], [0, 1, 3]]),
+    )
+    assert not assert_matches_loop(behind).any()
+    # no visible triangle at all
+    assert not assert_matches_loop(pixel_mesh([(2, 2), (9, 3), (4, 8)], z=-100.0)).any()
+    assert not assert_matches_loop(
+        TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
+    ).any()
+
+
+def test_rasterizer_matches_loop_on_random_meshes():
+    rng = np.random.default_rng(5)
+    for trial in range(60):
+        n = int(rng.integers(3, 40))
+        if trial % 3 == 0:
+            # whole-pixel vertices on SMALL_CAM put pixel centres on edges
+            vertices = np.column_stack([rng.integers(-25, 26, (n, 2)), np.full(n, 100.0)])
+            cam, pose = SMALL_CAM, IDENTITY
+        else:
+            spread = rng.choice([2.0, 20.0, 200.0])
+            depth = rng.choice([-40.0, 30.0, 150.0, 600.0])
+            vertices = rng.normal(0.0, spread, (n, 3)) + [0.0, 0.0, depth]
+            c, s = np.cos(trial), np.sin(trial)
+            cam, pose = VGA_CAM, RigidTransform(
+                np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]), rng.normal(0.0, 5.0, 3)
+            )
+        picks = int(rng.integers(1, 80))
+        triangles = np.array([rng.choice(n, 3, replace=False) for _ in range(picks)])
+        assert_matches_loop(TriangleMesh(vertices, triangles), cam, pose)
+
+
+def test_rasterizer_bounds_memory_on_image_filling_triangles():
+    # 50 triangles that each cover the whole image: 15.4 million candidate
+    # pixels, gigabytes if tested in one pass
+    count = 50
+    depth = np.repeat(10.0 + 0.01 * np.arange(count), 3)
+    corners = np.tile([[-1e4, -1e4], [1e4, -1e4], [0.0, 1e4]], (count, 1))
+    mesh = TriangleMesh(np.column_stack([corners, depth]), np.arange(3 * count).reshape(-1, 3))
+    tracemalloc.start()
+    try:
+        mask = _rasterize_mesh_mask(mesh, VGA_CAM, IDENTITY)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mask.all()
+    assert peak < 256 * 2**20
+    assert np.array_equal(mask, loop_rasterize(mesh, VGA_CAM, IDENTITY))
+
+
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
@@ -283,6 +427,11 @@ def test_config_validates_ranges():
         PipelineConfig(trim_fraction=0.0)
     with pytest.raises(ValidationError):
         PipelineConfig(fusion_voxel_mm=-1.0)
+    for views in ((), [0, 8], (1.5,), (-1,), (0, True), (np.int64(3),)):
+        with pytest.raises(ValidationError, match="eval_views"):
+            PipelineConfig(eval_views=views)
+    # indices past a session's scene count are dropped later, not rejected
+    assert PipelineConfig(eval_views=(0, 99)).eval_views == (0, 99)
 
 
 def test_bundle_validates_alignment_and_scale(clean_bundle):
@@ -391,6 +540,28 @@ def test_cli_bad_config_exits_2(clean_dir, tmp_path, capsys):
     )
     assert rc == 2
     assert "grid_dimz" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("views", [[1.5], [-1], [], 3])
+def test_cli_bad_eval_views_exit_2_before_any_stage(clean_dir, tmp_path, capsys, views):
+    bad = tmp_path / "views.json"
+    bad.write_text(json.dumps({"eval_views": views}))
+    out = tmp_path / "out"
+    rc = cli_main(
+        [
+            "calibrate",
+            "--session",
+            str(clean_dir / "session.json"),
+            "--config",
+            str(bad),
+            "--out",
+            str(out),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "eval_views" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_reconstruct_without_bundle_exits_2(clean_dir, tmp_path, capsys):
