@@ -17,7 +17,6 @@ from .errors import (
     BehindCamera,
     CameraOnPlane,
     DegenerateConfiguration,
-    EmptyInput,
     EmptySet,
     NonPositiveScale,
     NoConsensus,
@@ -311,13 +310,6 @@ def estimate_scale_scene(plane: Plane, cam_origin_ref) -> float:
     d1 = side
     d0 = -offset
     return (d0 + d1) / d1
-
-
-def estimate_scale_global(scenes: list[tuple[Plane, Array]]) -> ScaleEstimate:
-    """Per-scene scales and their arithmetic mean."""
-    if not scenes:
-        raise EmptyInput("no scenes to estimate scale from")
-    return ScaleEstimate([estimate_scale_scene(p, o) for p, o in scenes])
 
 
 def apply_scale(d: DepthMap, alpha: float) -> DepthMap:

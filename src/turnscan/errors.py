@@ -21,10 +21,6 @@ class NumericalError(TurnscanError):
 
 # ---------------------------------------------------------------- geometry
 
-class NonPositiveDepth(ValidationError):
-    """Point has z <= 0 and cannot be projected."""
-
-
 class DimensionMismatch(ValidationError):
     """Raster dimensions do not match the camera model."""
 

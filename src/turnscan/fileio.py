@@ -358,8 +358,17 @@ def read_corners(path: str | Path) -> CorrespondenceSet:
 
 
 def write_json_file(path: str | Path, payload: dict) -> None:
-    """Write a JSON document with sorted keys (stable across runs)."""
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Write a strict JSON document with sorted keys (stable across runs).
+
+    Raises
+    ------
+    IoFailure
+        If the payload holds NaN or an infinity, which JSON cannot encode.
+    """
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
     _write_bytes(path, text.encode("ascii"))
 
 

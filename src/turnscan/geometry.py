@@ -17,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NonPositiveDepth,
-    SingularMatrix,
-    ValidationError,
-)
+from .errors import DimensionMismatch, SingularMatrix, ValidationError
 
 Array = np.ndarray
 
@@ -182,6 +177,8 @@ class TriangleMesh:
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
         t = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3)
+        if not np.all(np.isfinite(v)):
+            raise ValidationError("vertices contain non-finite values")
         if len(t) and (t.min() < 0 or t.max() >= len(v)):
             raise ValidationError("triangle index out of range")
         if len(t):
@@ -237,16 +234,6 @@ def transform_points(t: RigidTransform, pts: PointCloud) -> PointCloud:
     normals = None if pts.normals is None else pts.normals @ t.rotation.T
     colors = None if pts.colors is None else pts.colors.copy()
     return PointCloud(positions, colors=colors, normals=normals)
-
-
-def project(cam: PinholeCamera, p) -> Array:
-    """Project a camera-frame point (mm) to pixel coordinates."""
-    p = _as_array(p, (3,), "point")
-    if p[2] <= 0:
-        raise NonPositiveDepth(f"cannot project point with z = {p[2]:g}")
-    return np.array(
-        [cam.fx * p[0] / p[2] + cam.cx, cam.fy * p[1] / p[2] + cam.cy]
-    )
 
 
 def project_points(cam: PinholeCamera, points: Array) -> tuple[Array, Array]:

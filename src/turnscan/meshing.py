@@ -20,15 +20,16 @@ from scipy.fft import dstn, idstn
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from ._mc_tables import EDGE_TABLE, TRI_TABLE
+from ._mc_tables import TRI_TABLE
 from .cloud import KdIndex
 from .errors import MissingNormals, ValidationError
 from .geometry import Array, PointCloud, TriangleMesh
 
 
 @dataclass
-class ScalarGrid:
-    """Regular scalar grid; node (i,j,k) sits at origin + spacing*(i,j,k)."""
+class Grid:
+    """Regular grid of scalars or 3-vectors; node (i,j,k) sits at
+    origin + spacing*(i,j,k), and values has shape dims or dims + (3,)."""
 
     dims: tuple[int, int, int]
     origin: Array
@@ -41,28 +42,8 @@ class ScalarGrid:
             raise ValidationError("grid spacing must be positive")
         self.origin = np.asarray(self.origin, dtype=np.float64).reshape(3)
         v = np.asarray(self.values, dtype=np.float64)
-        if v.shape != self.dims:
-            raise ValidationError(f"values shape {v.shape} != dims {self.dims}")
-        self.values = v
-
-
-@dataclass
-class VectorGrid:
-    """Regular grid of 3-vectors with the same geometry as ScalarGrid."""
-
-    dims: tuple[int, int, int]
-    origin: Array
-    spacing: float
-    values: Array
-
-    def __post_init__(self):
-        self.dims = tuple(int(d) for d in self.dims)
-        if self.spacing <= 0:
-            raise ValidationError("grid spacing must be positive")
-        self.origin = np.asarray(self.origin, dtype=np.float64).reshape(3)
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.shape != self.dims + (3,):
-            raise ValidationError(f"values shape {v.shape} != dims {self.dims} + (3,)")
+        if v.shape[:3] != self.dims or v.shape[3:] not in ((), (3,)):
+            raise ValidationError(f"values shape {v.shape} != dims {self.dims} [+ (3,)]")
         self.values = v
 
 
@@ -80,7 +61,24 @@ def _normalize_dims(dims) -> tuple[int, int, int]:
     return dims
 
 
-def splat_normal_field(pts: PointCloud, dims, margin_mm: float) -> VectorGrid:
+def _trilinear_stencil(u: Array, dims: tuple[int, int, int]):
+    """Yield (flat node index, weight) for the 8 nodes of the cell around
+    each grid-unit point in u; points outside the grid use the nearest
+    cell, so their weights extrapolate."""
+    base = np.clip(np.floor(u).astype(np.int64), 0, np.array(dims) - 2)
+    frac = u - base
+    _, ny, nz = dims
+    for dx in (0, 1):
+        wx = frac[:, 0] if dx else 1.0 - frac[:, 0]
+        for dy in (0, 1):
+            wy = frac[:, 1] if dy else 1.0 - frac[:, 1]
+            for dz in (0, 1):
+                wz = frac[:, 2] if dz else 1.0 - frac[:, 2]
+                idx = ((base[:, 0] + dx) * ny + base[:, 1] + dy) * nz + base[:, 2] + dz
+                yield idx, wx * wy * wz
+
+
+def splat_normal_field(pts: PointCloud, dims, margin_mm: float) -> Grid:
     """Distribute each point's normal onto its 8 surrounding grid nodes
     with trilinear weights, normalized by the total point count.
 
@@ -104,28 +102,14 @@ def splat_normal_field(pts: PointCloud, dims, margin_mm: float) -> VectorGrid:
     center = (lo + hi) / 2
     origin = center - spacing * (np.array(dims) - 1) / 2
     u = (pts.positions - origin) / spacing
-    base = np.floor(u).astype(np.int64)
-    base = np.clip(base, 0, np.array(dims) - 2)
-    frac = u - base
-    nx, ny, nz = dims
-    flat = np.zeros((nx * ny * nz, 3))
-    for dx in (0, 1):
-        wx = frac[:, 0] if dx else 1.0 - frac[:, 0]
-        for dy in (0, 1):
-            wy = frac[:, 1] if dy else 1.0 - frac[:, 1]
-            for dz in (0, 1):
-                wz = frac[:, 2] if dz else 1.0 - frac[:, 2]
-                w = wx * wy * wz
-                idx = ((base[:, 0] + dx) * ny + base[:, 1] + dy) * nz + base[:, 2] + dz
-                for c in range(3):
-                    flat[:, c] += np.bincount(
-                        idx, weights=w * pts.normals[:, c], minlength=len(flat)
-                    )
-    values = flat.reshape(nx, ny, nz, 3) / len(pts)
-    return VectorGrid(dims, origin, spacing, values)
+    flat = np.zeros((int(np.prod(dims)), 3))
+    for idx, w in _trilinear_stencil(u, dims):
+        for c in range(3):
+            flat[:, c] += np.bincount(idx, weights=w * pts.normals[:, c], minlength=len(flat))
+    return Grid(dims, origin, spacing, flat.reshape(dims + (3,)) / len(pts))
 
 
-def _divergence(v: VectorGrid) -> Array:
+def _divergence(v: Grid) -> Array:
     """Central-difference divergence; zero on the boundary layer."""
     h2 = 2.0 * v.spacing
     f = v.values
@@ -153,7 +137,7 @@ def _neg_laplacian(x: Array, spacing: float) -> Array:
     return out
 
 
-def solve_poisson(v: VectorGrid) -> tuple[ScalarGrid, PoissonInfo]:
+def solve_poisson(v: Grid) -> tuple[Grid, PoissonInfo]:
     """Solve lap(chi) = div(V) with chi = 0 on the grid boundary.
 
     The 7-point Laplacian under zero-Dirichlet boundaries is diagonalised
@@ -166,7 +150,7 @@ def solve_poisson(v: VectorGrid) -> tuple[ScalarGrid, PoissonInfo]:
     x = np.zeros(v.dims)
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:  # includes every grid without interior nodes
-        return ScalarGrid(v.dims, v.origin, v.spacing, x), PoissonInfo(1, 0.0)
+        return Grid(v.dims, v.origin, v.spacing, x), PoissonInfo(1, 0.0)
     interior = (slice(1, -1),) * 3
     eigen = [
         (2.0 - 2.0 * np.cos(np.pi * np.arange(1, n - 1) / (n - 1))) / v.spacing**2
@@ -175,7 +159,7 @@ def solve_poisson(v: VectorGrid) -> tuple[ScalarGrid, PoissonInfo]:
     denom = eigen[0][:, None, None] + eigen[1][None, :, None] + eigen[2][None, None, :]
     x[interior] = idstn(dstn(b[interior], type=1) / denom, type=1)
     residual = float(np.linalg.norm(b - _neg_laplacian(x, v.spacing))) / b_norm
-    return ScalarGrid(v.dims, v.origin, v.spacing, x), PoissonInfo(1, residual)
+    return Grid(v.dims, v.origin, v.spacing, x), PoissonInfo(1, residual)
 
 
 # Cube corners in the table convention: z-level-major, circular (x, y).
@@ -189,31 +173,38 @@ _CORNERS = (
     (1, 1, 1),
     (0, 1, 1),
 )
-# Edge -> (base node offset, axis, low corner, high corner); the low/high
-# corners are the canonical -/+ ends of the edge along its axis.
-_EDGES = (
-    ((0, 0, 0), 0, 0, 1),
-    ((1, 0, 0), 1, 1, 2),
-    ((0, 1, 0), 0, 3, 2),
-    ((0, 0, 0), 1, 0, 3),
-    ((0, 0, 1), 0, 4, 5),
-    ((1, 0, 1), 1, 5, 6),
-    ((0, 1, 1), 0, 7, 6),
-    ((0, 0, 1), 1, 4, 7),
-    ((0, 0, 0), 2, 0, 4),
-    ((1, 0, 0), 2, 1, 5),
-    ((1, 1, 0), 2, 2, 6),
-    ((0, 1, 0), 2, 3, 7),
+# Edge -> offset of its low node from the cell's base node, and its axis;
+# the high node is one step further along the axis.
+_EDGE_NODE = np.array(
+    [
+        (0, 0, 0),
+        (1, 0, 0),
+        (0, 1, 0),
+        (0, 0, 0),
+        (0, 0, 1),
+        (1, 0, 1),
+        (0, 1, 1),
+        (0, 0, 1),
+        (0, 0, 0),
+        (1, 0, 0),
+        (1, 1, 0),
+        (0, 1, 0),
+    ]
 )
+_EDGE_AXIS = np.array([0, 1, 0, 1, 0, 1, 0, 1, 2, 2, 2, 2])
+# TRI_TABLE as a 256 x 16 array, rows padded with -1
+_TRI = np.array([row + [-1] * (16 - len(row)) for row in TRI_TABLE])
 
 
-def marching_cubes(grid: ScalarGrid, iso: float) -> TriangleMesh:
+def marching_cubes(grid: Grid, iso: float) -> TriangleMesh:
     """Standard 256-case isosurface extraction with linear interpolation.
 
     Vertices on shared cell edges are welded (one vertex per crossing
     edge), so the result is watertight away from the grid boundary.
     Triangles are wound so their normals point toward increasing field
-    values ("inside" is below the iso level).
+    values ("inside" is below the iso level). Vertices are numbered by
+    first use, visiting the cells in C order and each cell's triangle
+    edges in table order.
     """
     nx, ny, nz = grid.dims
     values = grid.values
@@ -226,66 +217,40 @@ def marching_cubes(grid: ScalarGrid, iso: float) -> TriangleMesh:
             )
             << bit
         )
-    active = np.argwhere((case > 0) & (case < 255))
-    vertex_ids: dict[tuple[int, int, int, int], int] = {}
-    vertices: list[Array] = []
-    triangles: list[tuple[int, int, int]] = []
+    active = (case > 0) & (case < 255)
+    edges = _TRI[case[active]]
+    cell, slot = np.nonzero(edges >= 0)
+    edge = edges[cell, slot]
+    node = np.argwhere(active)[cell] + _EDGE_NODE[edge]
+    axis = _EDGE_AXIS[edge]
+    key = ((node[:, 0] * ny + node[:, 1]) * nz + node[:, 2]) * 3 + axis
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    vertex_of_key = np.empty_like(order)
+    vertex_of_key[order] = np.arange(len(order))
+    # table order is clockwise seen from outside; flip it
+    triangles = vertex_of_key[inverse].reshape(-1, 3)[:, [0, 2, 1]]
 
-    def edge_vertex(ci, cj, ck, edge) -> int:
-        (ox, oy, oz), axis, lo_corner, hi_corner = _EDGES[edge]
-        key = (ci + ox, cj + oy, ck + oz, axis)
-        vid = vertex_ids.get(key)
-        if vid is not None:
-            return vid
-        lc = _CORNERS[lo_corner]
-        v_lo = values[ci + lc[0], cj + lc[1], ck + lc[2]]
-        hc = _CORNERS[hi_corner]
-        v_hi = values[ci + hc[0], cj + hc[1], ck + hc[2]]
-        denom = v_hi - v_lo
-        t = 0.5 if denom == 0.0 else (iso - v_lo) / denom
-        t = min(max(t, 0.0), 1.0)
-        node = np.array(key[:3], dtype=np.float64)
-        node[axis] += t
-        vertices.append(grid.origin + grid.spacing * node)
-        vid = len(vertices) - 1
-        vertex_ids[key] = vid
-        return vid
-
-    for ci, cj, ck in active:
-        tri = TRI_TABLE[case[ci, cj, ck]]
-        for k in range(0, len(tri), 3):
-            a = edge_vertex(ci, cj, ck, tri[k])
-            b = edge_vertex(ci, cj, ck, tri[k + 1])
-            c = edge_vertex(ci, cj, ck, tri[k + 2])
-            if a == b or b == c or a == c:
-                continue
-            # table order is clockwise seen from outside; flip it
-            triangles.append((a, c, b))
-    if not vertices:
-        return TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
-    return TriangleMesh(np.array(vertices), np.array(triangles, dtype=np.int64))
+    node, axis = node[first[order]], axis[first[order]]
+    v_lo = values[node[:, 0], node[:, 1], node[:, 2]]
+    hi = node + np.eye(3, dtype=np.int64)[axis]
+    denom = values[hi[:, 0], hi[:, 1], hi[:, 2]] - v_lo
+    level = denom == 0.0
+    t = np.where(level, 0.5, (iso - v_lo) / np.where(level, 1.0, denom))
+    position = node.astype(np.float64)
+    position[np.arange(len(axis)), axis] += np.clip(t, 0.0, 1.0)
+    return TriangleMesh(grid.origin + grid.spacing * position, triangles)
 
 
-def sample_trilinear(grid: ScalarGrid, points: Array) -> Array:
+def sample_trilinear(grid: Grid, points: Array) -> Array:
     """Trilinearly interpolated field values at world-space points
     (clamped to the grid)."""
     u = (np.asarray(points, dtype=np.float64) - grid.origin) / grid.spacing
     u = np.clip(u, 0.0, np.array(grid.dims, dtype=np.float64) - 1.0)
-    base = np.minimum(u.astype(np.int64), np.array(grid.dims) - 2)
-    frac = u - base
+    values = grid.values.reshape(-1)
     out = np.zeros(len(u))
-    for dx in (0, 1):
-        wx = frac[:, 0] if dx else 1.0 - frac[:, 0]
-        for dy in (0, 1):
-            wy = frac[:, 1] if dy else 1.0 - frac[:, 1]
-            for dz in (0, 1):
-                wz = frac[:, 2] if dz else 1.0 - frac[:, 2]
-                out += (
-                    wx
-                    * wy
-                    * wz
-                    * grid.values[base[:, 0] + dx, base[:, 1] + dy, base[:, 2] + dz]
-                )
+    for idx, w in _trilinear_stencil(u, grid.dims):
+        out += w * values[idx]
     return out
 
 

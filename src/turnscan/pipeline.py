@@ -168,6 +168,11 @@ class CalibrationBundle:
             raise ValidationError("bundle scale must be positive")
 
 
+def _json_number(x: float) -> float | None:
+    """A report figure as JSON allows it: NaN and infinities become null."""
+    return float(x) if np.isfinite(x) else None
+
+
 @dataclass(frozen=True)
 class ReconstructionResult:
     """Mesh plus the fused cloud it was extracted from, with diagnostics."""
@@ -208,11 +213,13 @@ class EvaluationReport:
             "aabb_errors_mm": list(self.aabb_errors_mm),
             "iou_per_view": list(self.iou_per_view),
             "iou_mean": self.iou_mean,
-            "contour_distance_px_per_view": list(self.contour_distance_px_per_view),
-            "contour_distance_px_mean": self.contour_distance_px_mean,
+            "contour_distance_px_per_view": [
+                _json_number(d) for d in self.contour_distance_px_per_view
+            ],
+            "contour_distance_px_mean": _json_number(self.contour_distance_px_mean),
             "view_indices": list(self.view_indices),
             "alpha": self.alpha,
-            "registration_rmse_mm": self.registration_rmse_mm,
+            "registration_rmse_mm": _json_number(self.registration_rmse_mm),
         }
 
 
@@ -563,7 +570,7 @@ def run_reconstruct(
         stage_dir / "report.json",
         {
             "alpha_used": alpha,
-            "registration_rmse_mm": rmse,
+            "registration_rmse_mm": _json_number(rmse),
             "registration_converged": converged,
             "single_orientation": single_orientation,
             "merged_points": len(merged),
@@ -704,7 +711,8 @@ def run_evaluate(
     Raises
     ------
     ValidationError
-        If a view index is negative or not an integer, or no view is left.
+        If a view index is negative or not an integer, no view is left, or
+        a reference dimension is not finite.
     """
     if len(mesh.vertices) == 0 or len(mesh.triangles) == 0:
         raise EmptyInput("evaluation needs a nonempty mesh")
@@ -716,6 +724,8 @@ def run_evaluate(
     if not chosen:
         raise ValidationError("no valid evaluation views")
     reference = np.asarray(reference_dims, dtype=np.float64).reshape(3)
+    if not np.all(np.isfinite(reference)):
+        raise ValidationError("reference dimensions must be finite")
     stage_dir = _stage_dir(session, out_dir, "evaluate")
 
     dims = mesh.vertices.max(axis=0) - mesh.vertices.min(axis=0)
@@ -729,7 +739,11 @@ def run_evaluate(
     for view in chosen:
         record = session.scenes[view]
         with _stage_context("evaluate", record.index):
+            # the mesh lives in the upright frame; flipped scenes see it
+            # through the inverse of the true flip
             pose = bundle.rgb_poses[view]
+            if record.flipped:
+                pose = compose(pose, invert(truth.flip))
             mesh_mask = _rasterize_mesh_mask(mesh, session.rgb_camera, pose)
             true_pose = truth.poses[record.index].ref_to_rgb
             gt_mask = _ground_truth_mask(truth, record.flipped, session.rgb_camera, true_pose)

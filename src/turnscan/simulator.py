@@ -77,11 +77,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _first_positive(candidates: list[Array]) -> Array:
-    """Elementwise nearest hit among candidate parameters (inf marks a miss)."""
-    return np.minimum.reduce(candidates)
-
-
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box given by its center and full edge lengths (mm)."""
@@ -178,7 +173,7 @@ class Cylinder:
                 inside = np.einsum("ij,ij->i", xy, xy) <= self.radius**2
                 ok = np.isfinite(t) & (t > _T_EPS) & inside
                 candidates.append(np.where(ok, t, np.inf))
-        return _first_positive(candidates)
+        return np.minimum.reduce(candidates)  # inf marks a miss
 
 
 @dataclass(frozen=True)
@@ -196,7 +191,7 @@ class Union:
         return np.min(los, axis=0), np.max(his, axis=0)
 
     def ray_hits(self, origin: Array, dirs: Array) -> Array:
-        return _first_positive([p.ray_hits(origin, dirs) for p in self.parts])
+        return np.minimum.reduce([p.ray_hits(origin, dirs) for p in self.parts])
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from turnscan.geometry import (
     rotation_angle,
     rotation_z,
 )
-from turnscan.meshing import VectorGrid, reconstruct_mesh, solve_poisson
+from turnscan.meshing import Grid, reconstruct_mesh, solve_poisson
 from turnscan.pipeline import (
     PipelineConfig,
     run_calibrate,
@@ -270,7 +270,7 @@ def poisson_field_error(n):
         ],
         axis=-1,
     )
-    chi, _ = solve_poisson(VectorGrid((n, n, n), np.zeros(3), spacing, grad))
+    chi, _ = solve_poisson(Grid((n, n, n), np.zeros(3), spacing, grad))
     return float(np.linalg.norm(chi.values - chi_true) / np.linalg.norm(chi_true))
 
 

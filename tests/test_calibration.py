@@ -8,7 +8,6 @@ from turnscan.calibration import (
     ScaleEstimate,
     apply_scale,
     estimate_pose_pnp,
-    estimate_scale_global,
     estimate_scale_scene,
     fit_plane_ransac,
     relative_extrinsic,
@@ -22,7 +21,7 @@ from turnscan.geometry import (
     axis_angle,
     compose,
     invert,
-    project,
+    project_points,
     rotation_angle,
 )
 
@@ -85,8 +84,8 @@ def test_pnp_axis_aligned_center_maps_to_principal_point():
     truth = look_down_pose(distance=500.0)
     corr = CorrespondenceSet(pts, project_board(CAM, truth, pts))
     est = estimate_pose_pnp(CAM, corr)
-    uv = project(CAM, est.apply(np.zeros(3)))
-    np.testing.assert_allclose(uv, [CAM.cx, CAM.cy], atol=1e-6)
+    uv, _ = project_points(CAM, est.apply(np.zeros((1, 3))))
+    np.testing.assert_allclose(uv, [[CAM.cx, CAM.cy]], atol=1e-6)
 
 
 def test_pnp_rejects_collinear_points():
@@ -324,19 +323,6 @@ def test_scale_orientation_independent_of_stored_normal_sign():
     assert estimate_scale_scene(up, origin) == pytest.approx(
         estimate_scale_scene(down, origin)
     )
-
-
-def test_scale_global_mean():
-    plane = Plane([0.0, 0.0, 1.0], 0.0)
-    scenes = [(plane, np.array([0.0, 0.0, z])) for z in (200.0, 300.0, 400.0)]
-    est = estimate_scale_global(scenes)
-    assert est.global_scale == pytest.approx(1.0)
-    assert len(est.per_scene) == 3
-
-
-def test_scale_global_empty():
-    with pytest.raises(errors.EmptyInput):
-        estimate_scale_global([])
 
 
 def test_scale_estimate_mean_property():

@@ -55,6 +55,26 @@ def test_mesh_ply_roundtrip(tmp_path):
     assert np.array_equal(back.vertex_colors, colors)
 
 
+def write_mesh_with_nan_vertex(path):
+    """A tetrahedron PLY whose first vertex x is NaN."""
+    vertices = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [0.0, 10.0, 0.0], [0.0, 0.0, 10.0]])
+    triangles = np.array([[0, 1, 2], [0, 1, 3], [1, 2, 3], [0, 2, 3]])
+    fileio.write_mesh(path, TriangleMesh(vertices, triangles))
+    data = bytearray(path.read_bytes())
+    start = data.index(b"end_header\n") + len(b"end_header\n")
+    data[start : start + 8] = np.array([np.nan], dtype="<f8").tobytes()
+    path.write_bytes(bytes(data))
+
+
+def test_mesh_with_non_finite_vertex_is_rejected(tmp_path):
+    path = tmp_path / "nan.ply"
+    write_mesh_with_nan_vertex(path)
+    with pytest.raises(errors.ValidationError, match="non-finite"):
+        fileio.read_mesh(path)
+    with pytest.raises(errors.ValidationError, match="non-finite"):
+        TriangleMesh(np.array([[0.0, 0.0, np.inf]]), np.zeros((0, 3), dtype=np.int64))
+
+
 def test_mesh_file_rejected_as_cloud_and_vice_versa(tmp_path):
     cloud_path = tmp_path / "c.ply"
     mesh_path = tmp_path / "m.ply"
@@ -183,6 +203,16 @@ def test_json_roundtrip_and_parse_error(tmp_path):
     with pytest.raises(errors.ParseError) as excinfo:
         fileio.read_json_file(path)
     assert (excinfo.value.offset, excinfo.value.expected) == (8, "UTF-8")
+
+
+def test_json_writer_rejects_non_finite_numbers(tmp_path):
+    path = tmp_path / "doc.json"
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(errors.IoFailure, match="doc.json"):
+            fileio.write_json_file(path, {"a": [1.0, bad]})
+    assert not path.exists()
+    fileio.write_json_file(path, {"a": None})
+    assert path.read_text() == '{\n  "a": null\n}\n'
 
 
 def test_pose_rows_roundtrip():

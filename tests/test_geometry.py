@@ -12,7 +12,7 @@ from turnscan.geometry import (
     backproject,
     compose,
     invert,
-    project,
+    project_points,
     project_to_se3,
     rotation_angle,
     rotation_x,
@@ -160,19 +160,20 @@ CAM = PinholeCamera(fx=1000.0, fy=1000.0, cx=500.0, cy=500.0, width=1000, height
 
 
 def test_project_principal_point():
-    for z in (1.0, 250.0, 4000.0):
-        np.testing.assert_allclose(project(CAM, [0.0, 0.0, z]), [500.0, 500.0])
+    uv, in_front = project_points(CAM, [[0.0, 0.0, z] for z in (1.0, 250.0, 4000.0)])
+    np.testing.assert_allclose(uv, [[500.0, 500.0]] * 3)
+    assert in_front.all()
 
 
 def test_project_arithmetic():
-    np.testing.assert_allclose(project(CAM, [10.0, 0.0, 1000.0]), [510.0, 500.0])
+    uv, _ = project_points(CAM, [[10.0, 0.0, 1000.0]])
+    np.testing.assert_allclose(uv, [[510.0, 500.0]])
 
 
-def test_project_rejects_nonpositive_depth():
-    with pytest.raises(errors.NonPositiveDepth):
-        project(CAM, [0.0, 0.0, 0.0])
-    with pytest.raises(errors.NonPositiveDepth):
-        project(CAM, [0.0, 0.0, -5.0])
+def test_project_flags_nonpositive_depth():
+    uv, in_front = project_points(CAM, [[0.0, 0.0, 0.0], [0.0, 0.0, -5.0], [1.0, 2.0, 5.0]])
+    np.testing.assert_array_equal(in_front, [False, False, True])
+    assert np.all(np.isfinite(uv))
 
 
 # ------------------------------------------------------------- backproject
@@ -211,11 +212,12 @@ def test_project_backproject_roundtrip():
     depths = rng.uniform(100, 1000, size=50)
     values[coords[:, 1], coords[:, 0]] = depths
     cloud = backproject(cam, _depth_map(values))
-    for p in cloud.positions:
-        uv = project(cam, p)
-        u, v = int(round(uv[0])), int(round(uv[1]))
-        assert abs(uv[0] - u) < 1e-9 and abs(uv[1] - v) < 1e-9
-        assert values[v, u] > 0
+    uv, in_front = project_points(cam, cloud.positions)
+    assert in_front.all()
+    pixels = np.round(uv)
+    np.testing.assert_allclose(uv, pixels, atol=1e-9)
+    u, v = pixels.astype(int).T
+    assert np.all(values[v, u] > 0)
 
 
 # ---------------------------------------------------------- project_to_se3

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from turnscan import errors
-from turnscan.geometry import PointCloud
+from turnscan._mc_tables import TRI_TABLE
+from turnscan.geometry import PointCloud, TriangleMesh
 from turnscan.meshing import (
-    ScalarGrid,
-    VectorGrid,
+    Grid,
     largest_component,
     marching_cubes,
     reconstruct_mesh,
@@ -27,7 +27,7 @@ def sphere_grid(n=32, radius=1.0, half_width=1.2):
     spacing = axes[1] - axes[0]
     x, y, z = np.meshgrid(axes, axes, axes, indexing="ij")
     sdf = np.sqrt(x**2 + y**2 + z**2) - radius
-    return ScalarGrid((n, n, n), np.full(3, -half_width), spacing, sdf)
+    return Grid((n, n, n), np.full(3, -half_width), spacing, sdf)
 
 
 def edge_share_counts(mesh):
@@ -78,12 +78,12 @@ def test_splat_cell_center_spreads_eighth_weights():
 
 
 def test_poisson_zero_field_gives_zero():
-    v = VectorGrid((9, 9, 9), np.zeros(3), 1.0, np.zeros((9, 9, 9, 3)))
+    v = Grid((9, 9, 9), np.zeros(3), 1.0, np.zeros((9, 9, 9, 3)))
     chi, info = solve_poisson(v)
     assert info.residual == 0.0
     np.testing.assert_array_equal(chi.values, 0.0)
     # a grid two nodes thick has no interior, so its field is zero too
-    thin = VectorGrid((2, 9, 9), np.zeros(3), 1.0, np.ones((2, 9, 9, 3)))
+    thin = Grid((2, 9, 9), np.zeros(3), 1.0, np.ones((2, 9, 9, 3)))
     np.testing.assert_array_equal(solve_poisson(thin)[0].values, 0.0)
 
 
@@ -103,7 +103,7 @@ def _mms_error(n):
         ],
         axis=-1,
     )
-    v = VectorGrid((n, n, n), np.zeros(3), spacing, grad)
+    v = Grid((n, n, n), np.zeros(3), spacing, grad)
     chi, _ = solve_poisson(v)
     return np.linalg.norm(chi.values - chi_true) / np.linalg.norm(chi_true)
 
@@ -118,7 +118,7 @@ def test_poisson_residual_bounded_on_convergence():
     # the sine-transform solve is exact, on cubic and non-cubic grids alike
     rng = np.random.default_rng(1)
     for dims in ((17, 17, 17), (9, 12, 17)):
-        v = VectorGrid(dims, np.zeros(3), 0.5, rng.normal(size=dims + (3,)))
+        v = Grid(dims, np.zeros(3), 0.5, rng.normal(size=dims + (3,)))
         chi, info = solve_poisson(v)
         assert info.iterations == 1
         assert info.residual <= 1e-10
@@ -128,9 +128,132 @@ def test_poisson_residual_bounded_on_convergence():
 
 # ---------------------------------------------------------- marching cubes
 
+# the per-cell loop marching_cubes replaced, kept as the reference
+LOOP_CORNERS = (
+    (0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
+    (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1),
+)
+LOOP_EDGES = (
+    ((0, 0, 0), 0, 0, 1),
+    ((1, 0, 0), 1, 1, 2),
+    ((0, 1, 0), 0, 3, 2),
+    ((0, 0, 0), 1, 0, 3),
+    ((0, 0, 1), 0, 4, 5),
+    ((1, 0, 1), 1, 5, 6),
+    ((0, 1, 1), 0, 7, 6),
+    ((0, 0, 1), 1, 4, 7),
+    ((0, 0, 0), 2, 0, 4),
+    ((1, 0, 0), 2, 1, 5),
+    ((1, 1, 0), 2, 2, 6),
+    ((0, 1, 0), 2, 3, 7),
+)
+
+
+def loop_marching_cubes(grid, iso):
+    nx, ny, nz = grid.dims
+    values = grid.values
+    inside = values < iso
+    case = np.zeros((nx - 1, ny - 1, nz - 1), dtype=np.uint16)
+    for bit, (dx, dy, dz) in enumerate(LOOP_CORNERS):
+        case |= inside[dx : nx - 1 + dx, dy : ny - 1 + dy, dz : nz - 1 + dz].astype(
+            np.uint16
+        ) << bit
+    active = np.argwhere((case > 0) & (case < 255))
+    vertex_ids = {}
+    vertices = []
+    triangles = []
+
+    def edge_vertex(ci, cj, ck, edge):
+        (ox, oy, oz), axis, lo_corner, hi_corner = LOOP_EDGES[edge]
+        key = (ci + ox, cj + oy, ck + oz, axis)
+        vid = vertex_ids.get(key)
+        if vid is not None:
+            return vid
+        lc = LOOP_CORNERS[lo_corner]
+        v_lo = values[ci + lc[0], cj + lc[1], ck + lc[2]]
+        hc = LOOP_CORNERS[hi_corner]
+        v_hi = values[ci + hc[0], cj + hc[1], ck + hc[2]]
+        denom = v_hi - v_lo
+        t = 0.5 if denom == 0.0 else (iso - v_lo) / denom
+        t = min(max(t, 0.0), 1.0)
+        node = np.array(key[:3], dtype=np.float64)
+        node[axis] += t
+        vertices.append(grid.origin + grid.spacing * node)
+        vertex_ids[key] = len(vertices) - 1
+        return vertex_ids[key]
+
+    for ci, cj, ck in active:
+        tri = TRI_TABLE[case[ci, cj, ck]]
+        for k in range(0, len(tri), 3):
+            a = edge_vertex(ci, cj, ck, tri[k])
+            b = edge_vertex(ci, cj, ck, tri[k + 1])
+            c = edge_vertex(ci, cj, ck, tri[k + 2])
+            triangles.append((a, c, b))
+    if not vertices:
+        return TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
+    return TriangleMesh(np.array(vertices), np.array(triangles, dtype=np.int64))
+
+
+def assert_matches_loop(grid, iso):
+    got = marching_cubes(grid, iso)
+    want = loop_marching_cubes(grid, iso)
+    assert got.vertices.shape == want.vertices.shape
+    assert got.triangles.shape == want.triangles.shape
+    assert got.triangles.dtype == want.triangles.dtype
+    assert got.vertices.tobytes() == want.vertices.tobytes()
+    assert got.triangles.tobytes() == want.triangles.tobytes()
+    return got
+
+
+def test_marching_cubes_matches_loop_on_random_grids():
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        dims = tuple(int(d) for d in rng.integers(2, 11, size=3))
+        values = rng.normal(size=dims)
+        iso = float(rng.normal(scale=0.3))
+        grid = Grid(dims, rng.normal(scale=50.0, size=3), rng.uniform(0.2, 3.0), values)
+        assert_matches_loop(grid, iso)
+
+
+def test_marching_cubes_matches_loop_on_integer_grids():
+    # integer values put nodes exactly at the iso level, so some vertices
+    # land on grid nodes (t is 0 or 1); equal neighbours are common
+    # too, though they never share a crossing edge
+    rng = np.random.default_rng(12)
+    ties = 0
+    for trial in range(30):
+        dims = tuple(int(d) for d in rng.integers(2, 10, size=3))
+        values = rng.integers(-2, 3, size=dims).astype(np.float64)
+        grid = Grid(dims, np.zeros(3), 1.0, values)
+        mesh = assert_matches_loop(grid, 0.0)
+        ties += int(np.sum(np.all(mesh.vertices == np.round(mesh.vertices), axis=1)))
+    assert ties > 0
+
+
+def test_marching_cubes_matches_loop_on_uniform_grids():
+    for value in (-1.0, 0.0, 1.0):
+        grid = Grid((5, 6, 7), np.ones(3), 0.5, np.full((5, 6, 7), value))
+        mesh = assert_matches_loop(grid, 0.0 if value else 0.5)
+        assert len(mesh.vertices) == 0 and len(mesh.triangles) == 0
+
+
+def test_marching_cubes_matches_loop_on_sphere():
+    assert len(assert_matches_loop(sphere_grid(20), 0.0).triangles) > 0
+
+
+def test_grid_checks_value_shape():
+    Grid((8, 9, 10), np.zeros(3), 1.0, np.zeros((8, 9, 10)))
+    Grid((8, 9, 10), np.zeros(3), 1.0, np.zeros((8, 9, 10, 3)))
+    for shape in ((8, 9), (8, 9, 11), (8, 9, 10, 2), (8, 9, 10, 3, 1)):
+        with pytest.raises(errors.ValidationError):
+            Grid((8, 9, 10), np.zeros(3), 1.0, np.zeros(shape))
+    with pytest.raises(errors.ValidationError):
+        Grid((8, 9, 10), np.zeros(3), 0.0, np.zeros((8, 9, 10)))
+
+
 
 def test_marching_cubes_empty_when_all_outside():
-    grid = ScalarGrid((8, 8, 8), np.zeros(3), 1.0, np.ones((8, 8, 8)))
+    grid = Grid((8, 8, 8), np.zeros(3), 1.0, np.ones((8, 8, 8)))
     mesh = marching_cubes(grid, 0.0)
     assert len(mesh.vertices) == 0
     assert len(mesh.triangles) == 0
@@ -150,7 +273,7 @@ def test_marching_cubes_sign_flip_reverses_orientation():
     grid = sphere_grid(24)
     mesh = marching_cubes(grid, 0.0)
     flipped = marching_cubes(
-        ScalarGrid(grid.dims, grid.origin, grid.spacing, -grid.values), 0.0
+        Grid(grid.dims, grid.origin, grid.spacing, -grid.values), 0.0
     )
 
     def row_sorted(v):
@@ -181,8 +304,6 @@ def test_largest_component_drops_satellite():
         [0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3],
         [4, 5, 6],
     ]
-    from turnscan.geometry import TriangleMesh
-
     mesh = TriangleMesh(verts, tris)
     out = largest_component(mesh)
     assert len(out.vertices) == 4
@@ -226,7 +347,7 @@ def test_sample_trilinear_linear_field_exact():
     axes = np.arange(n, dtype=float)
     x, y, z = np.meshgrid(axes, axes, axes, indexing="ij")
     field = 2.0 * x - 3.0 * y + 0.5 * z + 1.0
-    grid = ScalarGrid((n, n, n), np.zeros(3), 1.0, field)
+    grid = Grid((n, n, n), np.zeros(3), 1.0, field)
     rng = np.random.default_rng(2)
     pts = rng.uniform(0, n - 1, size=(50, 3))
     expected = 2.0 * pts[:, 0] - 3.0 * pts[:, 1] + 0.5 * pts[:, 2] + 1.0

@@ -25,6 +25,7 @@ from turnscan.pipeline import (
     run_calibrate,
     run_evaluate,
     run_reconstruct,
+    save_bundle,
 )
 from turnscan.cli import main as cli_main
 from turnscan.session import load_session
@@ -71,6 +72,15 @@ def rewrite_manifest(src_dir, name, mutate):
     path = src_dir / name
     path.write_text(json.dumps(payload))
     return path
+
+
+def strict_json(path):
+    """Parse a JSON file, refusing the NaN and Infinity extensions."""
+
+    def refuse(name):
+        raise ValueError(f"{path.name} holds {name}, which is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +208,7 @@ def test_single_orientation_skips_registration(clean_dir, tmp_path):
     assert result.single_orientation
     assert np.isnan(result.registration_rmse_mm)
     assert len(result.mesh.vertices) > 0
+    assert strict_json(tmp_path / "reconstruct" / "report.json")["registration_rmse_mm"] is None
 
 
 def test_empty_crop_names_stage_and_scene(clean_dir, clean_bundle, tmp_path):
@@ -253,11 +264,31 @@ def test_exact_tessellation_scores_cleanly(clean_session, clean_bundle, referenc
     assert payload["aabb_errors_mm"] == pytest.approx(list(report.aabb_errors_mm))
 
 
+def test_evaluate_writes_null_for_a_mesh_outside_every_view(
+    clean_session, clean_bundle, reference_dims, tmp_path
+):
+    far = convex_hull_3d(np.eye(4)[:, :3] * 10.0 + [5000.0, 0.0, 0.0])
+    report = run_evaluate(far, clean_session, clean_bundle, reference_dims, out_dir=tmp_path)
+    assert report.iou_per_view == (0.0, 0.0)
+    assert np.isinf(report.contour_distance_px_mean)
+    payload = strict_json(tmp_path / "evaluate" / "report.json")
+    assert payload["contour_distance_px_per_view"] == [None, None]
+    assert payload["contour_distance_px_mean"] is None
+
+
 def test_evaluate_rejects_empty_mesh(clean_session, clean_bundle, reference_dims, tmp_path):
     empty = convex_hull_3d(np.eye(4)[:, :3] * 10.0)
     stripped = dataclasses.replace(empty, triangles=np.zeros((0, 3), dtype=np.int64))
     with pytest.raises(EmptyInput):
         run_evaluate(stripped, clean_session, clean_bundle, reference_dims, out_dir=tmp_path)
+
+
+def test_evaluate_rejects_non_finite_reference_dims(clean_session, clean_bundle, tmp_path):
+    mesh = convex_hull_3d(np.eye(4)[:, :3] * 10.0)
+    for bad in ((np.nan, 1.0, 1.0), (1.0, np.inf, 1.0)):
+        with pytest.raises(ValidationError, match="reference dimensions"):
+            run_evaluate(mesh, clean_session, clean_bundle, bad, out_dir=tmp_path)
+    assert not (tmp_path / "evaluate").exists()
 
 
 def test_evaluate_rejects_empty_negative_and_non_integer_views(
@@ -486,6 +517,55 @@ def test_manifest_rejects_missing_files(clean_dir):
         load_session(path)
 
 
+def l_shape_boxes():
+    """A tall and a short box side by side: an L that the flip does not
+    map onto itself."""
+    return (
+        sim.Box(center=(-20.0, 0.0, 40.0), size=(40.0, 70.0, 80.0)),
+        sim.Box(center=(20.0, 0.0, 15.0), size=(40.0, 70.0, 30.0)),
+    )
+
+
+def box_mesh(box):
+    lo, hi = box.bounds()
+    return convex_hull_3d(
+        np.array([[x, y, z] for x in (lo[0], hi[0]) for y in (lo[1], hi[1]) for z in (lo[2], hi[2])])
+    )
+
+
+def test_evaluate_poses_flipped_views_through_the_flip(tmp_path):
+    # the exact L (two overlapping box shells) scored on a noise-free
+    # session with the true poses: every view, flipped ones included,
+    # must match the ground-truth silhouette
+    boxes = l_shape_boxes()
+    scene = sim.SceneDescription(sim.Union(boxes), sim.CheckerTexture(pitch_mm=26.0))
+    rig = dataclasses.replace(quarter_rig(), arm_poses=quarter_rig().arm_poses[:1])
+    session = sim.generate_session(rig, scene, sim.NoiseModel(), tmp_path / "l")
+    truth = sim.load_ground_truth(session.root / "ground_truth.json")
+    bundle = CalibrationBundle(
+        alpha=1.0,
+        t_relative=truth.t_relative,
+        rgb_poses=tuple(p.ref_to_rgb for p in truth.poses),
+        depth_poses=tuple(p.ref_to_depth for p in truth.poses),
+        per_scene_alpha=(1.0,) * len(truth.poses),
+    )
+    a, b = (box_mesh(box) for box in boxes)
+    mesh = TriangleMesh(
+        np.vstack([a.vertices, b.vertices]),
+        np.vstack([a.triangles, b.triangles + len(a.vertices)]),
+    )
+    views = tuple(range(len(session.scenes)))
+    assert any(session.scenes[v].flipped for v in views)
+
+    report = run_evaluate(mesh, session, bundle, (80.0, 70.0, 80.0), views=views, out_dir=tmp_path)
+
+    assert max(report.aabb_errors_mm) < 1e-9
+    assert min(report.iou_per_view) >= 0.99
+    assert max(report.contour_distance_px_per_view) <= 0.25
+    payload = strict_json(tmp_path / "evaluate" / "report.json")
+    assert payload["registration_rmse_mm"] is None
+
+
 # ---------------------------------------------------------------------------
 # Command line
 # ---------------------------------------------------------------------------
@@ -562,6 +642,37 @@ def test_cli_bad_eval_views_exit_2_before_any_stage(clean_dir, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error:") and "eval_views" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_cli_evaluate_mesh_with_nan_vertex_exits_2(clean_dir, clean_bundle, tmp_path, capsys):
+    bundle_path = tmp_path / "bundle.json"
+    save_bundle(clean_bundle, bundle_path)
+    mesh_path = tmp_path / "nan.ply"
+    fileio.write_mesh(mesh_path, convex_hull_3d(np.eye(4)[:, :3] * 10.0))
+    data = bytearray(mesh_path.read_bytes())
+    start = data.index(b"end_header\n") + len(b"end_header\n")
+    data[start : start + 8] = np.array([np.nan], dtype="<f8").tobytes()
+    mesh_path.write_bytes(bytes(data))
+    out = tmp_path / "out"
+
+    rc = cli_main(
+        [
+            "evaluate",
+            "--session",
+            str(clean_dir / "session.json"),
+            "--bundle",
+            str(bundle_path),
+            "--mesh",
+            str(mesh_path),
+            "--out",
+            str(out),
+        ]
+    )
+
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "non-finite" in err and "Traceback" not in err
+    assert not (out / "evaluate" / "report.json").exists()
 
 
 def test_cli_reconstruct_without_bundle_exits_2(clean_dir, tmp_path, capsys):
