@@ -1,133 +1,8 @@
 """Turntable scan reconstruction: calibration, fusion, registration,
 Poisson meshing, and vertex re-dyeing, with a synthetic rig simulator
-for end-to-end validation."""
+for end-to-end validation.
 
-from .calibration import (
-    CalibrationSet,
-    ScaleEstimate,
-    apply_scale,
-    estimate_pose_pnp,
-    estimate_scale_scene,
-    fit_plane_ransac,
-    relative_extrinsic,
-)
-from .cloud import (
-    Aabb,
-    crop,
-    estimate_normals,
-    fuse,
-    remove_statistical_outliers,
-    voxel_downsample,
-)
-from .errors import NumericalError, TurnscanError, ValidationError
-from .geometry import (
-    DepthMap,
-    PinholeCamera,
-    Plane,
-    PointCloud,
-    RgbImage,
-    RigidTransform,
-    TriangleMesh,
-    backproject,
-    compose,
-    invert,
-    project_to_se3,
-    transform_points,
-)
-from .meshing import reconstruct_mesh, refine_vertices
-from .pipeline import (
-    CalibrationBundle,
-    EvaluationReport,
-    PipelineConfig,
-    ReconstructionResult,
-    load_bundle,
-    run_calibrate,
-    run_evaluate,
-    run_reconstruct,
-    save_bundle,
-)
-from .registration import (
-    IcpParams,
-    IcpResult,
-    colored_icp,
-    initial_flip_guess,
-    icp_point_to_plane,
-    trim_overlap_band,
-)
-from .session import BoundingBox, CaptureSession, SceneRecord, load_session, save_session
-from .simulator import (
-    GroundTruth,
-    NoiseModel,
-    RigConfig,
-    SceneDescription,
-    default_rig,
-    default_scene,
-    generate_session,
-    load_ground_truth,
-    render_scene,
-)
-from .texturing import hidden_point_removal, redye_mesh
-
-__all__ = [
-    "TurnscanError",
-    "ValidationError",
-    "NumericalError",
-    "RigidTransform",
-    "PinholeCamera",
-    "PointCloud",
-    "DepthMap",
-    "RgbImage",
-    "TriangleMesh",
-    "Plane",
-    "compose",
-    "invert",
-    "transform_points",
-    "backproject",
-    "project_to_se3",
-    "CalibrationSet",
-    "ScaleEstimate",
-    "estimate_pose_pnp",
-    "relative_extrinsic",
-    "fit_plane_ransac",
-    "estimate_scale_scene",
-    "apply_scale",
-    "Aabb",
-    "crop",
-    "remove_statistical_outliers",
-    "estimate_normals",
-    "fuse",
-    "voxel_downsample",
-    "reconstruct_mesh",
-    "refine_vertices",
-    "IcpParams",
-    "IcpResult",
-    "icp_point_to_plane",
-    "colored_icp",
-    "initial_flip_guess",
-    "trim_overlap_band",
-    "hidden_point_removal",
-    "redye_mesh",
-    "BoundingBox",
-    "SceneRecord",
-    "CaptureSession",
-    "save_session",
-    "load_session",
-    "RigConfig",
-    "SceneDescription",
-    "NoiseModel",
-    "GroundTruth",
-    "default_rig",
-    "default_scene",
-    "render_scene",
-    "generate_session",
-    "load_ground_truth",
-    "CalibrationBundle",
-    "PipelineConfig",
-    "ReconstructionResult",
-    "EvaluationReport",
-    "run_calibrate",
-    "run_reconstruct",
-    "run_evaluate",
-    "save_bundle",
-    "load_bundle",
-]
+The package root exports nothing; import from the submodules, such as
+``turnscan.pipeline`` for the stages and ``turnscan.truth`` for the
+ground truth of a synthetic session.
+"""

@@ -25,6 +25,7 @@ from .pipeline import (
     run_reconstruct,
 )
 from .session import CaptureSession, load_session
+from .truth import load_ground_truth
 
 __all__ = ["main"]
 
@@ -56,7 +57,7 @@ def _simulate(out_dir: Path, seed: int) -> CaptureSession:
 
 
 def _reference_dims(session: CaptureSession):
-    truth = simulator.load_ground_truth(session.root / "ground_truth.json")
+    truth = load_ground_truth(session.root / "ground_truth.json")
     lo, hi = truth.solid.bounds()
     return tuple(float(x) for x in (hi - lo))
 

@@ -95,10 +95,6 @@ class MissingNormals(ValidationError):
 
 # --------------------------------------------------------------- texturing
 
-class DegenerateInput(ValidationError):
-    """Input points are coplanar/collinear where full rank is required."""
-
-
 class NoScenes(ValidationError):
     """No camera scenes supplied."""
 

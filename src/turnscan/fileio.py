@@ -15,7 +15,7 @@ import numpy as np
 
 from .calibration import CorrespondenceSet
 from .errors import IoFailure, ParseError, ValidationError
-from .geometry import DepthMap, PointCloud, RgbImage, RigidTransform, TriangleMesh
+from .geometry import DepthMap, PointCloud, RgbImage, RigidTransform, TriangleMesh, _as_array
 
 _PLY_FACE_DTYPE = np.dtype([("count", "u1"), ("indices", "<i4", (3,))])
 
@@ -396,9 +396,7 @@ def pose_to_rows(transform: RigidTransform) -> list[list[float]]:
 
 def pose_from_rows(rows) -> RigidTransform:
     """Decode a 4x4 row-major nested list into a rigid transform."""
-    mat = np.asarray(rows, dtype=np.float64)
-    if mat.shape != (4, 4):
-        raise ValidationError(f"pose must be 4x4, got {mat.shape}")
+    mat = _as_array(rows, (4, 4), "pose")
     if np.max(np.abs(mat[3] - np.array([0.0, 0.0, 0.0, 1.0]))) > 1e-9:
         raise ValidationError("last pose row must be 0 0 0 1")
     return RigidTransform(mat[:3, :3], mat[:3, 3])

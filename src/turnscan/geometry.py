@@ -25,7 +25,10 @@ _ORTHO_TOL = 1e-9
 
 
 def _as_array(x, shape, name: str) -> Array:
-    a = np.asarray(x, dtype=np.float64)
+    try:
+        a = np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be an array of numbers: {exc}") from exc
     if a.shape != shape:
         raise ValidationError(f"{name} must have shape {shape}, got {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -53,11 +56,6 @@ class RigidTransform:
     @staticmethod
     def identity() -> "RigidTransform":
         return RigidTransform(np.eye(3), np.zeros(3))
-
-    @staticmethod
-    def from_matrix(m) -> "RigidTransform":
-        m = _as_array(m, (4, 4), "matrix")
-        return RigidTransform(m[:3, :3], m[:3, 3])
 
     def matrix(self) -> Array:
         """Homogeneous 4x4 matrix (row-major)."""
@@ -249,6 +247,82 @@ def project_points(cam: PinholeCamera, points: Array) -> tuple[Array, Array]:
     uv[:, 0] = cam.fx * p[:, 0] / z + cam.cx
     uv[:, 1] = cam.fy * p[:, 1] / z + cam.cy
     return uv, in_front
+
+
+def in_image(cam: PinholeCamera, uv: Array) -> Array:
+    """Rows of (n,2) pixel coordinates that land on the raster: within the
+    pixel centres 0..width-1 and 0..height-1, edges inclusive."""
+    return (
+        (uv[:, 0] >= 0.0)
+        & (uv[:, 0] <= cam.width - 1.0)
+        & (uv[:, 1] >= 0.0)
+        & (uv[:, 1] <= cam.height - 1.0)
+    )
+
+
+# Candidate pixels tested per pass of the rasterizer. It bounds the working
+# memory for any mesh, at about 120 bytes per candidate; a pass always takes
+# whole triangles, at least one.
+_RASTER_CHUNK = 1 << 20
+
+
+def rasterize_mesh_mask(
+    mesh: TriangleMesh, cam: PinholeCamera, ref_to_cam: RigidTransform
+) -> Array:
+    """Boolean silhouette of the mesh in the given camera view.
+
+    A pixel centre is covered when its barycentric coordinates in some
+    triangle's projection all lie within 1e-12 of [0, 1], edges inclusive
+    (the edge-function test of Pineda, SIGGRAPH 1988). Triangles with a
+    vertex at camera z <= 1e-9 or a projected area below 1e-12 cover
+    nothing. Every pixel of every triangle's clipped bounding box is tested
+    in one array pass, over consecutive chunks of whole triangles.
+    """
+    cam_pts = ref_to_cam.apply(mesh.vertices)
+    uv, _ = project_points(cam, cam_pts)
+    tris = mesh.triangles
+    corners = uv[tris]  # (m, 3, 2)
+    size = np.array([cam.width, cam.height], dtype=np.float64)
+    # clipped boxes stay empty (lo > hi) exactly when the unclipped ones do
+    lo = np.clip(np.ceil(corners.min(axis=1)), 0.0, size)
+    hi = np.clip(np.floor(corners.max(axis=1)), -1.0, size - 1.0)
+    a = corners[:, 0]
+    e1 = corners[:, 1] - a
+    e2 = corners[:, 2] - a
+    area = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    keep = (
+        np.all(cam_pts[:, 2][tris] > 1e-9, axis=1)
+        & np.all(lo <= hi, axis=1)
+        & (np.abs(area) >= 1e-12)
+    )
+    lo = lo[keep].astype(np.int64)
+    span = hi[keep].astype(np.int64) - lo + 1
+    a, e1, e2, area = a[keep], e1[keep], e2[keep], area[keep]
+    counts = span[:, 0] * span[:, 1]
+
+    starts = np.cumsum(counts) - counts
+    ends = starts + counts
+    mask = np.zeros(cam.height * cam.width, dtype=bool)
+    first = 0
+    while first < len(counts):
+        last = int(np.searchsorted(ends, starts[first] + _RASTER_CHUNK, side="right"))
+        last = max(last, first + 1)
+        owner = np.repeat(np.arange(first, last), counts[first:last])
+        offset = np.arange(starts[first], ends[last - 1]) - starts[owner]
+        row, col = np.divmod(offset, span[owner, 0])
+        gu = lo[owner, 0] + col
+        gv = lo[owner, 1] + row
+        pu = gu - a[owner, 0]
+        pv = gv - a[owner, 1]
+        e1u, e1v = e1[owner, 0], e1[owner, 1]
+        e2u, e2v = e2[owner, 0], e2[owner, 1]
+        tri_area = area[owner]
+        w1 = (pu * e2v - pv * e2u) / tri_area
+        w2 = (e1u * pv - e1v * pu) / tri_area
+        inside = (w1 >= -1e-12) & (w2 >= -1e-12) & (w1 + w2 <= 1.0 + 1e-12)
+        mask[(gv * cam.width + gu)[inside]] = True
+        first = last
+    return mask.reshape(cam.height, cam.width)
 
 
 def pixel_rays(cam: PinholeCamera) -> Array:

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from . import fileio, simulator
+from . import fileio
 from .calibration import (
     CalibrationSet,
     ScaleEstimate,
@@ -56,15 +56,18 @@ from .geometry import (
     TriangleMesh,
     backproject,
     compose,
+    in_image,
     invert,
     pixel_rays,
     project_points,
+    rasterize_mesh_mask,
     transform_points,
 )
 from .meshing import reconstruct_mesh, refine_vertices
 from .registration import IcpParams, colored_icp, initial_flip_guess, trim_overlap_band
 from .session import CaptureSession
 from .texturing import bilinear_sample, redye_mesh
+from .truth import GroundTruth, cast_placed, load_ground_truth
 
 Array = np.ndarray
 
@@ -111,8 +114,6 @@ class PipelineConfig:
     grid_dims: int = 64
     refine_k: int = 48
     refine_step_mm: float = 1.0
-    redye_mode: str = "blend"
-    redye_radius_factor: float = 100.0
     eval_views: tuple[int, ...] = (0, 8, 32, 40)
     force_unit_scale: bool = False
 
@@ -164,8 +165,8 @@ class CalibrationBundle:
     def __post_init__(self):
         if len(self.rgb_poses) != len(self.depth_poses):
             raise ValidationError("bundle pose lists must be index-aligned")
-        if self.alpha <= 0:
-            raise ValidationError("bundle scale must be positive")
+        if not (np.isfinite(self.alpha) and self.alpha > 0):
+            raise ValidationError(f"bundle scale must be positive and finite, got {self.alpha!r}")
 
 
 def _json_number(x: float) -> float | None:
@@ -313,8 +314,8 @@ def load_bundle(path) -> CalibrationBundle:
             depth_poses=tuple(fileio.pose_from_rows(rec["ref_to_depth"]) for rec in scenes),
             per_scene_alpha=tuple(float(a) for a in payload["per_scene_alpha"]),
         )
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"bundle schema violation: {exc!r}") from exc
+    except (KeyError, TypeError, ValueError, ValidationError) as exc:
+        raise ValidationError(f"bundle schema violation in {path}: {exc!r}") from exc
 
 
 def _read_scene_corners(session: CaptureSession, record, which: str):
@@ -445,13 +446,7 @@ def _process_scene(session, record, pose_depth, pose_rgb, alpha, box, config) ->
     with _stage_context("color", record.index):
         cam_pts = pose_rgb.apply(denoised.positions)
         uv, in_front = project_points(session.rgb_camera, cam_pts)
-        in_frame = (
-            in_front
-            & (uv[:, 0] >= 0)
-            & (uv[:, 0] <= session.rgb_camera.width - 1)
-            & (uv[:, 1] >= 0)
-            & (uv[:, 1] <= session.rgb_camera.height - 1)
-        )
+        in_frame = in_front & in_image(session.rgb_camera, uv)
         positions = denoised.positions[in_frame]
         colors = bilinear_sample(image.pixels / 255.0, uv[in_frame])
         if len(positions) == 0:
@@ -561,9 +556,7 @@ def run_reconstruct(
             if record.flipped:
                 pose = compose(pose, invert(total))
             views.append((image, session.rgb_camera, pose))
-        dyed, redye_report = redye_mesh(
-            mesh, views, radius_factor=config.redye_radius_factor, mode=config.redye_mode
-        )
+        dyed, redye_report = redye_mesh(mesh, views)
     fileio.write_mesh(stage_dir / "mesh_redyed.ply", dyed)
 
     fileio.write_json_file(
@@ -593,87 +586,17 @@ def run_reconstruct(
 # ---------------------------------------------------------------------------
 
 
-# Candidate pixels tested per pass of the rasterizer. It bounds the working
-# memory for any mesh, at about 120 bytes per candidate; a pass always takes
-# whole triangles, at least one.
-_RASTER_CHUNK = 1 << 20
-
-
-def _rasterize_mesh_mask(
-    mesh: TriangleMesh, cam: PinholeCamera, ref_to_cam: RigidTransform
-) -> Array:
-    """Boolean silhouette of the mesh in the given camera view.
-
-    A pixel centre is covered when its barycentric coordinates in some
-    triangle's projection all lie within 1e-12 of [0, 1], edges inclusive
-    (the edge-function test of Pineda, SIGGRAPH 1988). Triangles with a
-    vertex at camera z <= 1e-9 or a projected area below 1e-12 cover
-    nothing. Every pixel of every triangle's clipped bounding box is tested
-    in one array pass, over consecutive chunks of whole triangles.
-    """
-    cam_pts = ref_to_cam.apply(mesh.vertices)
-    uv, _ = project_points(cam, cam_pts)
-    tris = mesh.triangles
-    corners = uv[tris]  # (m, 3, 2)
-    size = np.array([cam.width, cam.height], dtype=np.float64)
-    # clipped boxes stay empty (lo > hi) exactly when the unclipped ones do
-    lo = np.clip(np.ceil(corners.min(axis=1)), 0.0, size)
-    hi = np.clip(np.floor(corners.max(axis=1)), -1.0, size - 1.0)
-    a = corners[:, 0]
-    e1 = corners[:, 1] - a
-    e2 = corners[:, 2] - a
-    area = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    keep = (
-        np.all(cam_pts[:, 2][tris] > 1e-9, axis=1)
-        & np.all(lo <= hi, axis=1)
-        & (np.abs(area) >= 1e-12)
-    )
-    lo = lo[keep].astype(np.int64)
-    span = hi[keep].astype(np.int64) - lo + 1
-    a, e1, e2, area = a[keep], e1[keep], e2[keep], area[keep]
-    counts = span[:, 0] * span[:, 1]
-
-    starts = np.cumsum(counts) - counts
-    ends = starts + counts
-    mask = np.zeros(cam.height * cam.width, dtype=bool)
-    first = 0
-    while first < len(counts):
-        last = int(np.searchsorted(ends, starts[first] + _RASTER_CHUNK, side="right"))
-        last = max(last, first + 1)
-        owner = np.repeat(np.arange(first, last), counts[first:last])
-        offset = np.arange(starts[first], ends[last - 1]) - starts[owner]
-        row, col = np.divmod(offset, span[owner, 0])
-        gu = lo[owner, 0] + col
-        gv = lo[owner, 1] + row
-        pu = gu - a[owner, 0]
-        pv = gv - a[owner, 1]
-        e1u, e1v = e1[owner, 0], e1[owner, 1]
-        e2u, e2v = e2[owner, 0], e2[owner, 1]
-        tri_area = area[owner]
-        w1 = (pu * e2v - pv * e2u) / tri_area
-        w2 = (e1u * pv - e1v * pu) / tri_area
-        inside = (w1 >= -1e-12) & (w2 >= -1e-12) & (w1 + w2 <= 1.0 + 1e-12)
-        mask[(gv * cam.width + gu)[inside]] = True
-        first = last
-    return mask.reshape(cam.height, cam.width)
-
-
 def _ground_truth_mask(
-    truth: simulator.GroundTruth,
+    truth: GroundTruth,
     flipped: bool,
     cam: PinholeCamera,
     ref_to_cam: RigidTransform,
 ) -> Array:
     """Boolean silhouette of the true object rendered analytically."""
-    dirs_cam = pixel_rays(cam)
     cam_to_ref = invert(ref_to_cam)
-    origin = cam_to_ref.translation
-    dirs_ref = dirs_cam @ cam_to_ref.rotation.T
-    if flipped:
-        flip = truth.flip
-        t = truth.solid.ray_hits(flip.apply(origin), dirs_ref @ flip.rotation.T)
-    else:
-        t = truth.solid.ray_hits(origin, dirs_ref)
+    dirs_ref = pixel_rays(cam) @ cam_to_ref.rotation.T
+    flip = truth.flip if flipped else None
+    t = cast_placed(truth.solid, cam_to_ref.translation, dirs_ref, flip)
     return np.isfinite(t).reshape(cam.height, cam.width)
 
 
@@ -711,8 +634,9 @@ def run_evaluate(
     Raises
     ------
     ValidationError
-        If a view index is negative or not an integer, no view is left, or
-        a reference dimension is not finite.
+        If a view index is negative or not an integer, no view is left, a
+        reference dimension is not finite, or the sidecar is malformed or
+        covers a different number of scenes than the session.
     """
     if len(mesh.vertices) == 0 or len(mesh.triangles) == 0:
         raise EmptyInput("evaluation needs a nonempty mesh")
@@ -726,13 +650,17 @@ def run_evaluate(
     reference = np.asarray(reference_dims, dtype=np.float64).reshape(3)
     if not np.all(np.isfinite(reference)):
         raise ValidationError("reference dimensions must be finite")
+    with _stage_context("evaluate"):
+        truth = load_ground_truth(session.root / "ground_truth.json")
+        if len(truth.poses) != len(session.scenes):
+            raise ValidationError(
+                f"ground truth covers {len(truth.poses)} scenes,"
+                f" session has {len(session.scenes)}"
+            )
     stage_dir = _stage_dir(session, out_dir, "evaluate")
 
     dims = mesh.vertices.max(axis=0) - mesh.vertices.min(axis=0)
     errors = np.abs(dims - reference)
-
-    with _stage_context("evaluate"):
-        truth = simulator.load_ground_truth(session.root / "ground_truth.json")
 
     ious = []
     contour_dists = []
@@ -744,7 +672,7 @@ def run_evaluate(
             pose = bundle.rgb_poses[view]
             if record.flipped:
                 pose = compose(pose, invert(truth.flip))
-            mesh_mask = _rasterize_mesh_mask(mesh, session.rgb_camera, pose)
+            mesh_mask = rasterize_mesh_mask(mesh, session.rgb_camera, pose)
             true_pose = truth.poses[record.index].ref_to_rgb
             gt_mask = _ground_truth_mask(truth, record.flipped, session.rgb_camera, true_pose)
             union = np.logical_or(mesh_mask, gt_mask).sum()

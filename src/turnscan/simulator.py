@@ -1,20 +1,21 @@
 """Synthetic turntable rig rendering depth, RGB, and corner observations.
 
-Objects are constructive solids built from analytic primitives, so every
-rendered depth sample sits exactly on the true surface: ray casting against
-quadrics and slabs has no tessellation error. The rig mimics a two-camera
-head (structured-light depth plus RGB) on an arm that visits a fixed set of
-poses while the turntable steps through a full revolution; the object is
-captured upright and flipped. Noise (depth bias, per-pixel depth noise,
+Objects are the constructive solids of :mod:`turnscan.truth`, built from
+analytic primitives, so every rendered depth sample sits exactly on the
+true surface: ray casting against quadrics and slabs has no tessellation
+error. The rig mimics a two-camera head (structured-light depth plus RGB)
+on an arm that visits a fixed set of poses while the turntable steps
+through a full revolution; the object is captured upright and flipped. Noise (depth bias, per-pixel depth noise,
 arm pose jitter, dropout) is injected after the exact render, and every
 scene also yields its ground-truth poses so downstream estimates can be
-checked against the values that generated the data.
+checked against the values that generated the data. The session's
+``ground_truth.json`` sidecar is written by :func:`truth.save_ground_truth`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,13 +30,20 @@ from .geometry import (
     RigidTransform,
     axis_angle,
     compose,
+    in_image,
     invert,
     pixel_rays,
-    rotation_x,
+    project_points,
     rotation_y,
     rotation_z,
 )
 from .session import BoundingBox, CaptureSession, SceneRecord, save_session
+from .truth import Box, GroundTruth, ScenePoses, cast_placed, flip_transform, save_ground_truth
+
+# Not used here. A scene may hold any solid kind, so they stay importable
+# from the simulator next to Box, as does the reader of the sidecar that
+# generate_session writes.
+from .truth import Cylinder, Sphere, Union, load_ground_truth  # noqa: F401
 
 Array = np.ndarray
 
@@ -48,150 +56,18 @@ _BACKGROUND = np.array([0.12, 0.12, 0.15])
 
 __all__ = [
     "AxisGradientTexture",
-    "Box",
     "CheckerTexture",
-    "Cylinder",
-    "GroundTruth",
     "NoiseModel",
     "RigConfig",
     "SceneCorners",
     "SceneDescription",
-    "ScenePoses",
-    "Sphere",
-    "Union",
     "default_rig",
     "default_scene",
-    "flip_transform",
     "generate_session",
-    "load_ground_truth",
     "look_at",
     "render_scene",
     "scene_index",
-    "solid_from_payload",
-    "solid_to_payload",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Analytic primitives
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned box given by its center and full edge lengths (mm)."""
-
-    center: tuple[float, float, float]
-    size: tuple[float, float, float]
-
-    def __post_init__(self):
-        if min(self.size) <= 0:
-            raise ValidationError("box edge lengths must be positive")
-
-    def bounds(self) -> tuple[Array, Array]:
-        c = np.asarray(self.center, dtype=np.float64)
-        half = np.asarray(self.size, dtype=np.float64) / 2.0
-        return c - half, c + half
-
-    def ray_hits(self, origin: Array, dirs: Array) -> Array:
-        lo, hi = self.bounds()
-        safe = np.where(np.abs(dirs) < 1e-300, np.copysign(1e-300, dirs), dirs)
-        inv = 1.0 / safe
-        t1 = (lo - origin) * inv
-        t2 = (hi - origin) * inv
-        t_near = np.minimum(t1, t2).max(axis=1)
-        t_far = np.maximum(t1, t2).min(axis=1)
-        t = np.where(t_near > _T_EPS, t_near, t_far)
-        return np.where((t_near <= t_far) & (t > _T_EPS), t, np.inf)
-
-
-@dataclass(frozen=True)
-class Sphere:
-    """Sphere given by center and radius (mm)."""
-
-    center: tuple[float, float, float]
-    radius: float
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValidationError("sphere radius must be positive")
-
-    def bounds(self) -> tuple[Array, Array]:
-        c = np.asarray(self.center, dtype=np.float64)
-        return c - self.radius, c + self.radius
-
-    def ray_hits(self, origin: Array, dirs: Array) -> Array:
-        oc = origin - np.asarray(self.center, dtype=np.float64)
-        a = np.einsum("ij,ij->i", dirs, dirs)
-        b = 2.0 * dirs @ oc
-        c = oc @ oc - self.radius**2
-        disc = b * b - 4.0 * a * c
-        sq = np.sqrt(np.maximum(disc, 0.0))
-        near = (-b - sq) / (2.0 * a)
-        far = (-b + sq) / (2.0 * a)
-        t = np.where(near > _T_EPS, near, far)
-        return np.where((disc >= 0.0) & (t > _T_EPS), t, np.inf)
-
-
-@dataclass(frozen=True)
-class Cylinder:
-    """Upright cylinder: center of its axis segment, radius, height (mm)."""
-
-    center: tuple[float, float, float]
-    radius: float
-    height: float
-
-    def __post_init__(self):
-        if self.radius <= 0 or self.height <= 0:
-            raise ValidationError("cylinder radius and height must be positive")
-
-    def bounds(self) -> tuple[Array, Array]:
-        c = np.asarray(self.center, dtype=np.float64)
-        half = np.array([self.radius, self.radius, self.height / 2.0])
-        return c - half, c + half
-
-    def ray_hits(self, origin: Array, dirs: Array) -> Array:
-        c = np.asarray(self.center, dtype=np.float64)
-        z_lo, z_hi = c[2] - self.height / 2.0, c[2] + self.height / 2.0
-        o2 = origin[:2] - c[:2]
-        d2 = dirs[:, :2]
-        a = np.einsum("ij,ij->i", d2, d2)
-        b = 2.0 * d2 @ o2
-        cc = o2 @ o2 - self.radius**2
-        disc = b * b - 4.0 * a * cc
-        sq = np.sqrt(np.maximum(disc, 0.0))
-        candidates = []
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for sign in (-1.0, 1.0):
-                t = (-b + sign * sq) / (2.0 * a)
-                z = origin[2] + t * dirs[:, 2]
-                ok = (a > 0.0) & (disc >= 0.0) & (t > _T_EPS) & (z >= z_lo) & (z <= z_hi)
-                candidates.append(np.where(ok, t, np.inf))
-            for z_cap in (z_lo, z_hi):
-                t = (z_cap - origin[2]) / dirs[:, 2]
-                xy = o2[None, :] + t[:, None] * d2
-                inside = np.einsum("ij,ij->i", xy, xy) <= self.radius**2
-                ok = np.isfinite(t) & (t > _T_EPS) & inside
-                candidates.append(np.where(ok, t, np.inf))
-        return np.minimum.reduce(candidates)  # inf marks a miss
-
-
-@dataclass(frozen=True)
-class Union:
-    """Union of solids; a ray hit is the nearest hit across the parts."""
-
-    parts: tuple
-
-    def __post_init__(self):
-        if not self.parts:
-            raise ValidationError("union needs at least one part")
-
-    def bounds(self) -> tuple[Array, Array]:
-        los, his = zip(*(p.bounds() for p in self.parts))
-        return np.min(los, axis=0), np.max(his, axis=0)
-
-    def ray_hits(self, origin: Array, dirs: Array) -> Array:
-        return np.minimum.reduce([p.ray_hits(origin, dirs) for p in self.parts])
 
 
 # ---------------------------------------------------------------------------
@@ -337,29 +213,11 @@ class NoiseModel:
 
 
 @dataclass(frozen=True)
-class ScenePoses:
-    """Ground-truth reference-to-camera poses for one rendered scene."""
-
-    ref_to_depth: RigidTransform
-    ref_to_rgb: RigidTransform
-
-
-@dataclass(frozen=True)
 class SceneCorners:
     """Visible chessboard corners observed by each camera."""
 
     depth: CorrespondenceSet
     rgb: CorrespondenceSet
-
-
-def flip_transform(solid) -> RigidTransform:
-    """Rigid map placing the upright solid upside-down back on the table.
-
-    Rotation of pi about X followed by a lift of the solid's top height;
-    the map is its own inverse, matching the registration initial guess.
-    """
-    _, hi = solid.bounds()
-    return RigidTransform(rotation_x(math.pi), np.array([0.0, 0.0, hi[2]]))
 
 
 def look_at(position, target, up=(0.0, 0.0, 1.0)) -> RigidTransform:
@@ -410,6 +268,11 @@ def _true_poses(
     return ScenePoses(ref_to_depth=compose(rig.t_relative, true_rgb), ref_to_rgb=true_rgb)
 
 
+def _flip(scene: SceneDescription) -> RigidTransform | None:
+    """The flip a scene shows its solid through, or None when upright."""
+    return flip_transform(scene.solid) if scene.flipped else None
+
+
 def _cast_scene(
     scene: SceneDescription, cam_pose: RigidTransform, dirs_cam: Array
 ) -> tuple[Array, Array, Array]:
@@ -423,11 +286,7 @@ def _cast_scene(
     origin = cam_to_ref.translation
     dirs_ref = dirs_cam @ cam_to_ref.rotation.T
 
-    if scene.flipped:
-        flip = flip_transform(scene.solid)
-        t_obj = scene.solid.ray_hits(flip.apply(origin), dirs_ref @ flip.rotation.T)
-    else:
-        t_obj = scene.solid.ray_hits(origin, dirs_ref)
+    t_obj = cast_placed(scene.solid, origin, dirs_ref, _flip(scene))
 
     dz = dirs_ref[:, 2]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -457,7 +316,7 @@ def _shade(
     if np.any(obj_hit):
         pts = origin + t_all[obj_hit, None] * dirs_ref[obj_hit]
         if scene.flipped:
-            pts = flip_transform(scene.solid).apply(pts)
+            pts = _flip(scene).apply(pts)
         colors[obj_hit] = scene.texture.colors_at(pts)
 
     if np.any(table_hit):
@@ -482,23 +341,11 @@ def _corners_for_camera(
     """Project board corners, dropping occluded, behind, or out-of-frame ones."""
     corners = rig.corner_grid()
     cam_pts = cam_pose.apply(corners)
-    in_front = cam_pts[:, 2] > _T_EPS
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = cam.fx * cam_pts[:, 0] / cam_pts[:, 2] + cam.cx
-        v = cam.fy * cam_pts[:, 1] / cam_pts[:, 2] + cam.cy
-    in_frame = (u >= 0) & (u <= cam.width - 1) & (v >= 0) & (v <= cam.height - 1)
-
+    uv, _ = project_points(cam, cam_pts)
     origin = invert(cam_pose).translation
-    rays = corners - origin
-    if scene.flipped:
-        flip = flip_transform(scene.solid)
-        t_hit = scene.solid.ray_hits(flip.apply(origin), rays @ flip.rotation.T)
-    else:
-        t_hit = scene.solid.ray_hits(origin, rays)
-    unoccluded = t_hit >= 1.0 - 1e-9
-
-    keep = in_front & in_frame & unoccluded
-    return CorrespondenceSet(corners[keep], np.column_stack([u[keep], v[keep]]))
+    t_hit = cast_placed(scene.solid, origin, corners - origin, _flip(scene))
+    keep = (cam_pts[:, 2] > _T_EPS) & in_image(cam, uv) & (t_hit >= 1.0 - 1e-9)
+    return CorrespondenceSet(corners[keep], uv[keep])
 
 
 def render_scene(
@@ -587,74 +434,6 @@ def default_scene() -> SceneDescription:
     return SceneDescription(solid=solid, texture=CheckerTexture(pitch_mm=26.0))
 
 
-def solid_to_payload(solid) -> dict:
-    """Encode a solid as a JSON-friendly nested dictionary."""
-    if isinstance(solid, Box):
-        return {"kind": "box", "center": list(solid.center), "size": list(solid.size)}
-    if isinstance(solid, Sphere):
-        return {"kind": "sphere", "center": list(solid.center), "radius": solid.radius}
-    if isinstance(solid, Cylinder):
-        return {
-            "kind": "cylinder",
-            "center": list(solid.center),
-            "radius": solid.radius,
-            "height": solid.height,
-        }
-    if isinstance(solid, Union):
-        return {"kind": "union", "parts": [solid_to_payload(p) for p in solid.parts]}
-    raise ValidationError(f"unknown solid type {type(solid).__name__}")
-
-
-def solid_from_payload(payload: dict):
-    """Decode a solid written by :func:`solid_to_payload`."""
-    kind = payload.get("kind")
-    if kind == "box":
-        return Box(center=tuple(payload["center"]), size=tuple(payload["size"]))
-    if kind == "sphere":
-        return Sphere(center=tuple(payload["center"]), radius=float(payload["radius"]))
-    if kind == "cylinder":
-        return Cylinder(
-            center=tuple(payload["center"]),
-            radius=float(payload["radius"]),
-            height=float(payload["height"]),
-        )
-    if kind == "union":
-        return Union(parts=tuple(solid_from_payload(p) for p in payload["parts"]))
-    raise ValidationError(f"unknown solid kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    """Sidecar truth for a generated session."""
-
-    alpha_true: float
-    t_relative: RigidTransform
-    flip: RigidTransform
-    solid: object
-    poses: tuple[ScenePoses, ...]
-    bounds: tuple = field(default=())
-
-
-def load_ground_truth(path: str | Path) -> GroundTruth:
-    """Read the ground-truth sidecar written by :func:`generate_session`."""
-    payload = fileio.read_json_file(path)
-    solid = solid_from_payload(payload["object"])
-    poses = tuple(
-        ScenePoses(
-            ref_to_depth=fileio.pose_from_rows(rec["t_ref_to_depth"]),
-            ref_to_rgb=fileio.pose_from_rows(rec["t_ref_to_rgb"]),
-        )
-        for rec in payload["scenes"]
-    )
-    return GroundTruth(
-        alpha_true=float(payload["alpha_true"]),
-        t_relative=fileio.pose_from_rows(payload["t_relative"]),
-        flip=fileio.pose_from_rows(payload["flip_transform"]),
-        solid=solid,
-        poses=poses,
-    )
-
-
 def generate_session(
     rig: RigConfig,
     scene: SceneDescription,
@@ -680,7 +459,6 @@ def generate_session(
         raise IoFailure(f"cannot create session directory {out_dir}: {exc}") from exc
 
     records = []
-    truth_scenes = []
     pose_list = []
     for flipped in (False, True):
         oriented = replace(scene, flipped=flipped)
@@ -705,13 +483,6 @@ def generate_session(
                 fileio.write_corners(out_dir / rec.corners_rgb_path, corners.rgb)
                 records.append(rec)
                 pose_list.append(poses)
-                truth_scenes.append(
-                    {
-                        "index": index,
-                        "t_ref_to_depth": fileio.pose_to_rows(poses.ref_to_depth),
-                        "t_ref_to_rgb": fileio.pose_to_rows(poses.ref_to_rgb),
-                    }
-                )
 
     half_x = (rig.chessboard_cols - 1) / 2.0 * rig.chessboard_square_mm
     half_y = (rig.chessboard_rows - 1) / 2.0 * rig.chessboard_square_mm
@@ -735,15 +506,14 @@ def generate_session(
         scenes=tuple(records),
     )
     save_session(session, out_dir / "session.json")
-    fileio.write_json_file(
+    save_ground_truth(
         out_dir / "ground_truth.json",
-        {
-            "format": "turnscan-ground-truth v1",
-            "alpha_true": 1.0 / noise.depth_bias,
-            "t_relative": fileio.pose_to_rows(rig.t_relative),
-            "flip_transform": fileio.pose_to_rows(flip_transform(scene.solid)),
-            "object": solid_to_payload(scene.solid),
-            "scenes": truth_scenes,
-        },
+        GroundTruth(
+            alpha_true=1.0 / noise.depth_bias,
+            t_relative=rig.t_relative,
+            flip=flip_transform(scene.solid),
+            solid=scene.solid,
+            poses=tuple(pose_list),
+        ),
     )
     return session

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .errors import DegenerateInput, EmptyCloud, EmptyInput, NoScenes, ValidationError
+from .errors import EmptyCloud, EmptyInput, NoScenes, ValidationError
 from .geometry import (
     Array,
     PinholeCamera,
@@ -23,6 +23,7 @@ from .geometry import (
     RigidTransform,
     RgbImage,
     TriangleMesh,
+    in_image,
     invert,
     project_points,
 )
@@ -55,33 +56,6 @@ class RedyeReport:
     @property
     def unseen_count(self) -> int:
         return len(self.unseen_indices)
-
-
-def convex_hull_3d(pts) -> TriangleMesh:
-    """Convex hull with outward-oriented triangles.
-
-    The returned mesh contains exactly the hull vertices (ascending input
-    order); every input point lies inside or on the hull.
-    """
-    p = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
-    if len(p) < 4:
-        raise DegenerateInput("hull needs at least 4 points")
-    try:
-        hull = ConvexHull(p)
-    except QhullError as exc:
-        raise DegenerateInput(f"input points are not full rank: {exc}") from exc
-    keep = np.sort(hull.vertices)
-    remap = np.full(len(p), -1, dtype=np.int64)
-    remap[keep] = np.arange(len(keep))
-    tris = remap[hull.simplices]
-    verts = p[keep]
-    # qhull does not orient 3D simplices consistently; flip each triangle
-    # whose geometric normal disagrees with the facet's outward normal
-    a, b, c = verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]]
-    outward = hull.equations[:, :3]
-    flip = np.einsum("ij,ij->i", np.cross(b - a, c - a), outward) < 0
-    tris[flip] = tris[flip][:, [0, 2, 1]]
-    return TriangleMesh(verts, tris)
 
 
 def hidden_point_removal(
@@ -182,30 +156,24 @@ def redye_mesh(
     mesh: TriangleMesh,
     scenes: list[tuple[RgbImage, PinholeCamera, RigidTransform]],
     radius_factor: float = _DEFAULT_RADIUS_FACTOR,
-    mode: str = "blend",
 ) -> tuple[TriangleMesh, RedyeReport]:
     """Recolor mesh vertices from RGB views.
 
     Each scene supplies an image, its camera, and the transform taking
     reference coordinates into that camera's frame. A vertex contributes
     in a scene when hidden-point removal marks it visible, it lies in
-    front of the camera, and it projects inside the image. mode "blend"
-    averages scene samples with weight max(0, n.v)^2; mode "best" takes
-    the single highest-weight scene.
+    front of the camera, and it projects inside the image. Scene samples
+    are averaged with weight max(0, n.v)^2.
     """
     if len(mesh.vertices) == 0:
         raise EmptyInput("mesh has no vertices")
     if len(scenes) == 0:
         raise NoScenes("re-dyeing needs at least one scene")
-    if mode not in ("blend", "best"):
-        raise ValidationError(f"unknown blend mode: {mode!r}")
     verts = mesh.vertices
     normals = _vertex_normals(mesh)
     n = len(verts)
     accum = np.zeros((n, 3))
     weight_sum = np.zeros(n)
-    best_weight = np.zeros(n)
-    best_color = np.zeros((n, 3))
     visible_counts = []
     for image, camera, to_camera in scenes:
         cam_pts = to_camera.apply(verts)
@@ -214,13 +182,7 @@ def redye_mesh(
             PointCloud(verts), cam_origin, radius_factor
         ).flags
         uv, in_front = project_points(camera, cam_pts)
-        in_frame = (
-            (uv[:, 0] >= 0.0)
-            & (uv[:, 0] <= camera.width - 1.0)
-            & (uv[:, 1] >= 0.0)
-            & (uv[:, 1] <= camera.height - 1.0)
-        )
-        usable = mask & in_front & in_frame
+        usable = mask & in_front & in_image(camera, uv)
         view_dir = cam_origin - verts
         view_len = np.linalg.norm(view_dir, axis=1)
         view_len[view_len == 0] = 1.0
@@ -234,12 +196,6 @@ def redye_mesh(
         colors = bilinear_sample(img, uv[usable])
         accum[usable] += w[usable, None] * colors
         weight_sum[usable] += w[usable]
-        better = usable & (w > best_weight)
-        best_weight[better] = w[better]
-        # scatter scene colors into the per-vertex best slot
-        scene_colors = np.zeros((n, 3))
-        scene_colors[usable] = colors
-        best_color[better] = scene_colors[better]
     dyed = weight_sum > 0
     prior = (
         mesh.vertex_colors
@@ -247,10 +203,7 @@ def redye_mesh(
         else np.full((n, 3), 0.5)
     )
     out = prior.copy()
-    if mode == "blend":
-        out[dyed] = accum[dyed] / weight_sum[dyed, None]
-    else:
-        out[dyed] = best_color[dyed]
+    out[dyed] = accum[dyed] / weight_sum[dyed, None]
     report = RedyeReport(
         scene_visible_counts=tuple(visible_counts),
         unseen_indices=np.nonzero(~dyed)[0],

@@ -12,6 +12,7 @@ import pytest
 
 from turnscan import fileio
 from turnscan import simulator as sim
+from turnscan import truth as gt
 from turnscan.calibration import (
     CalibrationSet,
     CorrespondenceSet,
@@ -363,7 +364,7 @@ def checker_box_mesh(lo, hi, pitch, inset=1.5):
 
 def test_redye_reproduces_painted_checkerboard(clean_box):
     session = load_session(clean_box / "session.json")
-    truth = sim.load_ground_truth(clean_box / "ground_truth.json")
+    truth = gt.load_ground_truth(clean_box / "ground_truth.json")
     texture = sim.default_scene().texture
     lo, hi = truth.solid.bounds()
     verts, tris, face_of = checker_box_mesh(lo, hi, texture.pitch_mm)
@@ -404,7 +405,7 @@ def test_redye_reproduces_painted_checkerboard(clean_box):
 
 def test_pipeline_silhouette_matches_ground_truth(tmp_path):
     scene = sim.SceneDescription(
-        solid=sim.Sphere(center=(0.0, 0.0, 40.0), radius=40.0),
+        solid=gt.Sphere(center=(0.0, 0.0, 40.0), radius=40.0),
         texture=sim.AxisGradientTexture(
             axis=2,
             low_mm=0.0,
@@ -415,7 +416,7 @@ def test_pipeline_silhouette_matches_ground_truth(tmp_path):
     )
     sim.generate_session(sim.default_rig(), scene, sim.NoiseModel(seed=0), tmp_path / "s")
     session = load_session(tmp_path / "s" / "session.json")
-    truth = sim.load_ground_truth(tmp_path / "s" / "ground_truth.json")
+    truth = gt.load_ground_truth(tmp_path / "s" / "ground_truth.json")
     lo, hi = truth.solid.bounds()
 
     bundle = run_calibrate(session, out_dir=tmp_path / "out")

@@ -8,6 +8,7 @@ import pytest
 
 from turnscan import fileio
 from turnscan import simulator as sim
+from turnscan import truth as gt
 from turnscan.errors import (
     EmptyInput,
     MissingCorners,
@@ -15,11 +16,10 @@ from turnscan.errors import (
     ParseError,
     ValidationError,
 )
-from turnscan.geometry import PinholeCamera, RigidTransform, TriangleMesh
+from turnscan.geometry import PinholeCamera, RigidTransform, TriangleMesh, rasterize_mesh_mask
 from turnscan.pipeline import (
     CalibrationBundle,
     PipelineConfig,
-    _rasterize_mesh_mask,
     config_from_payload,
     load_bundle,
     run_calibrate,
@@ -29,7 +29,8 @@ from turnscan.pipeline import (
 )
 from turnscan.cli import main as cli_main
 from turnscan.session import load_session
-from turnscan.texturing import convex_hull_3d
+
+from meshes import convex_hull_3d
 
 TRUE_ALPHA = 1.00223
 FAST = PipelineConfig(grid_dims=32)
@@ -61,7 +62,7 @@ def clean_bundle(clean_session):
 
 @pytest.fixture(scope="module")
 def reference_dims(clean_session):
-    truth = sim.load_ground_truth(clean_session.root / "ground_truth.json")
+    truth = gt.load_ground_truth(clean_session.root / "ground_truth.json")
     lo, hi = truth.solid.bounds()
     return hi - lo
 
@@ -242,7 +243,7 @@ def test_bundle_scene_count_must_match(clean_session, clean_bundle, tmp_path):
 
 
 def test_exact_tessellation_scores_cleanly(clean_session, clean_bundle, reference_dims, tmp_path):
-    truth = sim.load_ground_truth(clean_session.root / "ground_truth.json")
+    truth = gt.load_ground_truth(clean_session.root / "ground_truth.json")
     lo, hi = truth.solid.bounds()
     corners = np.array(
         [[x, y, z] for x in (lo[0], hi[0]) for y in (lo[1], hi[1]) for z in (lo[2], hi[2])]
@@ -355,7 +356,7 @@ def pixel_mesh(*triangles, z=100.0):
 
 
 def assert_matches_loop(mesh, cam=SMALL_CAM, pose=IDENTITY):
-    mask = _rasterize_mesh_mask(mesh, cam, pose)
+    mask = rasterize_mesh_mask(mesh, cam, pose)
     assert mask.shape == (cam.height, cam.width) and mask.dtype == bool
     assert np.array_equal(mask, loop_rasterize(mesh, cam, pose))
     return mask
@@ -423,7 +424,7 @@ def test_rasterizer_bounds_memory_on_image_filling_triangles():
     mesh = TriangleMesh(np.column_stack([corners, depth]), np.arange(3 * count).reshape(-1, 3))
     tracemalloc.start()
     try:
-        mask = _rasterize_mesh_mask(mesh, VGA_CAM, IDENTITY)
+        mask = rasterize_mesh_mask(mesh, VGA_CAM, IDENTITY)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -521,8 +522,8 @@ def l_shape_boxes():
     """A tall and a short box side by side: an L that the flip does not
     map onto itself."""
     return (
-        sim.Box(center=(-20.0, 0.0, 40.0), size=(40.0, 70.0, 80.0)),
-        sim.Box(center=(20.0, 0.0, 15.0), size=(40.0, 70.0, 30.0)),
+        gt.Box(center=(-20.0, 0.0, 40.0), size=(40.0, 70.0, 80.0)),
+        gt.Box(center=(20.0, 0.0, 15.0), size=(40.0, 70.0, 30.0)),
     )
 
 
@@ -538,10 +539,10 @@ def test_evaluate_poses_flipped_views_through_the_flip(tmp_path):
     # session with the true poses: every view, flipped ones included,
     # must match the ground-truth silhouette
     boxes = l_shape_boxes()
-    scene = sim.SceneDescription(sim.Union(boxes), sim.CheckerTexture(pitch_mm=26.0))
+    scene = sim.SceneDescription(gt.Union(boxes), sim.CheckerTexture(pitch_mm=26.0))
     rig = dataclasses.replace(quarter_rig(), arm_poses=quarter_rig().arm_poses[:1])
     session = sim.generate_session(rig, scene, sim.NoiseModel(), tmp_path / "l")
-    truth = sim.load_ground_truth(session.root / "ground_truth.json")
+    truth = gt.load_ground_truth(session.root / "ground_truth.json")
     bundle = CalibrationBundle(
         alpha=1.0,
         t_relative=truth.t_relative,
@@ -620,6 +621,100 @@ def test_cli_bad_config_exits_2(clean_dir, tmp_path, capsys):
     )
     assert rc == 2
     assert "grid_dimz" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("redye_mode", "best"), ("redye_radius_factor", 100.0)])
+def test_cli_removed_config_keys_exit_2_before_any_stage(clean_dir, tmp_path, capsys, key, value):
+    bad = tmp_path / "removed.json"
+    bad.write_text(json.dumps({key: value}))
+    out = tmp_path / "out"
+    argv = ["calibrate", "--session", str(clean_dir / "session.json"), "--config", str(bad)]
+    rc = cli_main(argv + ["--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "unknown config keys" in err and key in err
+    assert not out.exists()
+
+
+def cli_evaluate(session_json, bundle_path, out, capsys):
+    """Run `turnscan evaluate` on the unit tetrahedron; returns (rc, stderr)."""
+    mesh_path = out.parent / "mesh.ply"
+    fileio.write_mesh(mesh_path, convex_hull_3d(np.eye(4)[:, :3] * 10.0))
+    argv = ["evaluate", "--session", str(session_json), "--bundle", str(bundle_path)]
+    rc = cli_main(argv + ["--mesh", str(mesh_path), "--out", str(out)])
+    return rc, capsys.readouterr().err
+
+
+def drop_key(key):
+    return lambda payload: payload.pop(key)
+
+
+def set_item(path, value):
+    def mutate(payload):
+        for key in path[:-1]:
+            payload = payload[key]
+        payload[path[-1]] = value
+
+    return mutate
+
+
+def keep_one_scene(payload):
+    payload["scenes"] = payload["scenes"][:1]
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        drop_key("object"),
+        set_item(("object", "size"), "abc"),
+        set_item(("alpha_true",), "x"),
+        set_item(("flip_transform", 1), [0.0, -1.0]),
+        keep_one_scene,
+        set_item(("format",), "turnscan-ground-truth v0"),
+    ],
+    ids=["no-object", "size-abc", "alpha-x", "ragged-flip", "one-scene", "format"],
+)
+def test_cli_malformed_sidecar_exits_2(clean_dir, clean_bundle, tmp_path, capsys, mutate):
+    root = tmp_path / "session"
+    root.mkdir()
+    (root / "session.json").write_bytes((clean_dir / "session.json").read_bytes())
+    (root / "scenes").symlink_to(clean_dir / "scenes")
+    payload = json.loads((clean_dir / "ground_truth.json").read_text())
+    mutate(payload)
+    (root / "ground_truth.json").write_text(json.dumps(payload))
+    bundle_path = tmp_path / "bundle.json"
+    save_bundle(clean_bundle, bundle_path)
+    out = tmp_path / "out"
+
+    rc, err = cli_evaluate(root / "session.json", bundle_path, out, capsys)
+
+    assert rc == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (out / "evaluate").exists()
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        set_item(("alpha",), "x"),
+        set_item(("scenes", 0, "ref_to_rgb", 2), [0.0, 1.0]),
+        set_item(("alpha",), float("nan")),
+    ],
+    ids=["alpha-x", "ragged-pose", "alpha-nan"],
+)
+def test_cli_malformed_bundle_exits_2(clean_dir, clean_bundle, tmp_path, capsys, mutate):
+    bundle_path = tmp_path / "bundle.json"
+    save_bundle(clean_bundle, bundle_path)
+    payload = json.loads(bundle_path.read_text())
+    mutate(payload)
+    bundle_path.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+
+    rc, err = cli_evaluate(clean_dir / "session.json", bundle_path, out, capsys)
+
+    assert rc == 2
+    assert err.startswith("error:") and "bundle" in err and "Traceback" not in err
+    assert not (out / "evaluate").exists()
 
 
 @pytest.mark.parametrize("views", [[1.5], [-1], [], 3])

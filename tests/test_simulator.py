@@ -3,6 +3,7 @@ import pytest
 
 from turnscan import errors, fileio
 from turnscan import simulator as sim
+from turnscan import truth as gt
 from turnscan.calibration import estimate_pose_pnp, estimate_scale_scene, fit_plane_ransac
 from turnscan.geometry import PointCloud, RigidTransform, backproject, compose, invert, pixel_rays
 from turnscan.session import load_session
@@ -30,7 +31,7 @@ def test_sphere_on_axis_center_depth():
     center = np.array([0.0, 0.0, 60.0])
     rig = single_arm_rig(position, center)
     scene = sim.SceneDescription(
-        sim.Sphere(center=tuple(center), radius=40.0),
+        gt.Sphere(center=tuple(center), radius=40.0),
         sim.AxisGradientTexture(axis=2, low_mm=0.0, high_mm=100.0),
     )
     depth, _, _, _ = sim.render_scene(rig, scene, 0, 0, sim.NoiseModel())
@@ -79,7 +80,7 @@ def test_backprojection_lands_on_surface():
         depth, _, _, poses = sim.render_scene(rig, oriented, 7, 1, sim.NoiseModel())
         cloud = backproject(rig.depth_camera, depth)
         ref_pts = invert(poses.ref_to_depth).apply(cloud.positions)
-        solid_pts = sim.flip_transform(scene.solid).apply(ref_pts) if flipped else ref_pts
+        solid_pts = gt.flip_transform(scene.solid).apply(ref_pts) if flipped else ref_pts
         off_surface = np.minimum(
             box_surface_distance(solid_pts, lo, hi), np.abs(ref_pts[:, 2])
         )
@@ -165,14 +166,14 @@ def test_noise_validation():
 def test_scene_validation():
     texture = sim.CheckerTexture(pitch_mm=20.0)
     with pytest.raises(errors.ValidationError):
-        sim.SceneDescription(sim.Box(center=(290.0, 0.0, 40.0), size=(60.0, 60.0, 80.0)), texture)
+        sim.SceneDescription(gt.Box(center=(290.0, 0.0, 40.0), size=(60.0, 60.0, 80.0)), texture)
     with pytest.raises(errors.ValidationError):
-        sim.SceneDescription(sim.Sphere(center=(0.0, 0.0, 10.0), radius=40.0), texture)
+        sim.SceneDescription(gt.Sphere(center=(0.0, 0.0, 10.0), radius=40.0), texture)
 
 
 def test_flip_transform_is_involution():
     solid = sim.default_scene().solid
-    flip = sim.flip_transform(solid)
+    flip = gt.flip_transform(solid)
     twice = compose(flip, flip)
     assert np.max(np.abs(twice.rotation - np.eye(3))) < 1e-12
     assert np.max(np.abs(twice.translation)) < 1e-9
@@ -206,10 +207,10 @@ def test_checker_and_gradient_textures():
 
 def test_primitive_hits_land_on_surface():
     rng = np.random.default_rng(17)
-    box = sim.Box(center=(5.0, -3.0, 40.0), size=(50.0, 30.0, 80.0))
-    sphere = sim.Sphere(center=(-10.0, 8.0, 50.0), radius=25.0)
-    cyl = sim.Cylinder(center=(20.0, 15.0, 35.0), radius=18.0, height=70.0)
-    union = sim.Union(parts=(box, sphere, cyl))
+    box = gt.Box(center=(5.0, -3.0, 40.0), size=(50.0, 30.0, 80.0))
+    sphere = gt.Sphere(center=(-10.0, 8.0, 50.0), radius=25.0)
+    cyl = gt.Cylinder(center=(20.0, 15.0, 35.0), radius=18.0, height=70.0)
+    union = gt.Union(parts=(box, sphere, cyl))
     origin = np.array([0.0, -300.0, 150.0])
     dirs = rng.normal(size=(4000, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -290,7 +291,7 @@ def test_flipped_box_bottom_renders_the_lowest_checker_layer():
     _, image, _, poses = sim.render_scene(rig, flipped, 0, 0, sim.NoiseModel())
 
     cam_to_ref = invert(poses.ref_to_rgb)
-    flip = sim.flip_transform(scene.solid)
+    flip = gt.flip_transform(scene.solid)
     origin = flip.apply(cam_to_ref.translation)
     dirs = pixel_rays(rig.rgb_camera) @ cam_to_ref.rotation.T @ flip.rotation.T
     t = scene.solid.ray_hits(origin, dirs)
@@ -332,7 +333,7 @@ def test_generate_session_writes_full_schedule(tmp_path):
     assert len(loaded.scenes) == 64
     assert loaded.depth_camera == rig.depth_camera
     assert loaded.bounding_box.height_mm > 85.0
-    truth = sim.load_ground_truth(tmp_path / "out" / "ground_truth.json")
+    truth = gt.load_ground_truth(tmp_path / "out" / "ground_truth.json")
     assert len(truth.poses) == 64
     assert truth.alpha_true == 1.0
     # sidecar poses match a fresh render of the same scene
@@ -375,14 +376,14 @@ def test_session_manifest_schema_errors(tmp_path):
 
 
 def test_solid_payload_roundtrip():
-    solid = sim.Union(
+    solid = gt.Union(
         parts=(
-            sim.Box(center=(0.0, 0.0, 20.0), size=(40.0, 30.0, 40.0)),
-            sim.Sphere(center=(0.0, 0.0, 50.0), radius=15.0),
-            sim.Cylinder(center=(10.0, 0.0, 25.0), radius=8.0, height=50.0),
+            gt.Box(center=(0.0, 0.0, 20.0), size=(40.0, 30.0, 40.0)),
+            gt.Sphere(center=(0.0, 0.0, 50.0), radius=15.0),
+            gt.Cylinder(center=(10.0, 0.0, 25.0), radius=8.0, height=50.0),
         )
     )
-    back = sim.solid_from_payload(sim.solid_to_payload(solid))
+    back = gt.solid_from_payload(gt.solid_to_payload(solid))
     assert back == solid
     with pytest.raises(errors.ValidationError):
-        sim.solid_from_payload({"kind": "torus"})
+        gt.solid_from_payload({"kind": "torus"})
