@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import fileio, simulator
@@ -31,13 +30,10 @@ __all__ = ["main"]
 
 
 def _load_config(args) -> PipelineConfig:
-    if getattr(args, "config", None):
-        config = config_from_payload(fileio.read_json_file(args.config))
-    else:
-        config = PipelineConfig()
-    if getattr(args, "seed", None) is not None:
-        config = replace(config, seed=args.seed)
-    return config
+    payload = fileio.read_json_file(args.config) if args.config else {}
+    if args.seed is not None:
+        payload["seed"] = args.seed
+    return config_from_payload(payload)
 
 
 def _default_noise(seed: int) -> simulator.NoiseModel:
@@ -68,7 +64,7 @@ def _out_root(args, session: CaptureSession) -> Path:
 
 def _cmd_simulate(args) -> int:
     out = Path(args.out)
-    session = _simulate(out, args.seed if args.seed is not None else 0)
+    session = _simulate(out, args.seed)
     print(f"simulated {len(session.scenes)} scenes under {out}")
     return 0
 

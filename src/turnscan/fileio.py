@@ -9,6 +9,8 @@ bit-exactly; parse failures report the byte offset where reading stopped.
 from __future__ import annotations
 
 import json
+import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,9 @@ from .errors import IoFailure, ParseError, ValidationError
 from .geometry import DepthMap, PointCloud, RgbImage, RigidTransform, TriangleMesh, _as_array
 
 _PLY_FACE_DTYPE = np.dtype([("count", "u1"), ("indices", "<i4", (3,))])
+# a JSON string, or a number token as Python's json reads it (NaN and
+# infinities included)
+_JSON_NUMBER = re.compile(rb'"(?:[^"\\]|\\.)*"|(-?(?:\d[\d.eE+-]*|Infinity)|NaN)')
 
 __all__ = [
     "read_corners",
@@ -342,8 +347,8 @@ def read_corners(path: str | Path) -> CorrespondenceSet:
             row = [float(p) for p in parts]
         except ValueError:
             row = []
-        if len(row) != 5:
-            raise ParseError("bad corner row", offset=at, expected="X Y Z u v")
+        if len(row) != 5 or not np.all(np.isfinite(row)):
+            raise ParseError("bad corner row", offset=at, expected="finite X Y Z u v")
         rows.append(row)
     table = np.asarray(rows, dtype=np.float64).reshape(-1, 5)
     try:
@@ -373,10 +378,23 @@ def write_json_file(path: str | Path, payload: dict) -> None:
 
 
 def read_json_file(path: str | Path) -> dict:
-    """Read a JSON document, reporting the byte offset on parse failure."""
+    """Read a strict JSON document, reporting the byte offset on parse failure.
+    NaN, infinities and numbers too large for a float are refused, as
+    :func:`write_json_file` never writes them."""
     data = _read_bytes(path)
+
+    def finite(token: str) -> float:
+        value = float(token)
+        if not math.isfinite(value):
+            # json calls this in document order: the first token so written is it
+            at = next((m.start() for m in _JSON_NUMBER.finditer(data) if m[1] == token.encode()), 0)
+            raise ParseError(
+                f"non-finite number {token} in {path}", offset=at, expected="a finite number"
+            )
+        return value
+
     try:
-        payload = json.loads(data)
+        payload = json.loads(data, parse_float=finite, parse_constant=finite)
     except json.JSONDecodeError as exc:
         raise ParseError("invalid JSON", offset=exc.pos, expected="valid JSON") from exc
     except UnicodeDecodeError as exc:

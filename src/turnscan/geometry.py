@@ -82,8 +82,8 @@ class PinholeCamera:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValidationError("focal lengths must be positive")
+        if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
+            raise ValidationError("focal lengths must be positive and finite")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValidationError("principal point must lie inside the raster")
         if self.width <= 0 or self.height <= 0:

@@ -18,6 +18,7 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -88,55 +89,37 @@ __all__ = [
 ]
 
 
+def _is_integer(value, minimum: int) -> bool:
+    """A plain int (not a bool, not a numpy scalar) of at least ``minimum``."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+
+
 def _check_view_indices(views) -> None:
-    if any(isinstance(v, bool) or not isinstance(v, int) or v < 0 for v in views):
+    if not all(_is_integer(v, 0) for v in views):
         raise ValidationError(f"eval_views must be non-negative integers, got {views!r}")
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Tunable knobs for all stages; defaults suit the built-in rig."""
+    """The settings a run may change. Every other parameter is a constant
+    beside the stage that uses it, and the worker count comes from
+    ``RECON_WORKERS``."""
 
     seed: int = 0
-    workers: int = 4
-    fusion_voxel_mm: float = 0.5
-    crop_clearance_mm: float = 0.8
-    denoise_k: int = 12
-    denoise_std_ratio: float = 2.0
-    normals_k: int = 10
-    plane_threshold_mm: float = 0.3
-    plane_iterations: int = 100
-    plane_sample_cap: int = 20000
-    trim_fraction: float = 0.6
-    icp_voxel_schedule_mm: tuple[float, ...] = (4.0, 2.0, 1.0)
-    icp_iterations: tuple[int, ...] = (50, 30, 14)
-    icp_color_weight: float = 0.968
     grid_dims: int = 64
-    refine_k: int = 48
-    refine_step_mm: float = 1.0
     eval_views: tuple[int, ...] = (0, 8, 32, 40)
-    force_unit_scale: bool = False
 
     def __post_init__(self):
-        if self.workers < 1:
-            raise ValidationError("worker count must be at least 1")
-        if self.fusion_voxel_mm <= 0:
-            raise ValidationError("fusion voxel must be positive")
-        if not 0.0 < self.trim_fraction <= 1.0:
-            raise ValidationError("trim fraction must lie in (0, 1]")
+        if not _is_integer(self.seed, 0):
+            raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not _is_integer(self.grid_dims, 8):
+            raise ValidationError(f"grid_dims must be an integer >= 8, got {self.grid_dims!r}")
         if not isinstance(self.eval_views, tuple) or not self.eval_views:
             raise ValidationError(
                 f"eval_views must be a nonempty tuple (a JSON list) of view indices,"
                 f" got {self.eval_views!r}"
             )
         _check_view_indices(self.eval_views)
-
-    def icp_params(self) -> IcpParams:
-        return IcpParams(
-            voxel_schedule_mm=tuple(self.icp_voxel_schedule_mm),
-            max_iterations=tuple(self.icp_iterations),
-            color_weight=self.icp_color_weight,
-        )
 
 
 def config_from_payload(payload: dict) -> PipelineConfig:
@@ -247,14 +230,17 @@ class _stage_context:
         return False
 
 
-def _worker_count(config: PipelineConfig) -> int:
+_WORKERS = 4  # per-scene threads when RECON_WORKERS is unset
+
+
+def _worker_count() -> int:
     env = os.environ.get("RECON_WORKERS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValidationError(f"RECON_WORKERS must be an integer, got {env!r}") from exc
-    return config.workers
+    if env is None:
+        return _WORKERS
+    try:
+        return max(1, int(env))
+    except ValueError as exc:
+        raise ValidationError(f"RECON_WORKERS must be an integer, got {env!r}") from exc
 
 
 def _parallel_map(func, items, workers: int) -> list:
@@ -328,26 +314,29 @@ def _read_scene_corners(session: CaptureSession, record, which: str):
         raise MissingCorners(f"scene {record.index}: corners file missing at {path}") from exc
 
 
-def _scene_scale(session, record, pose_depth, config: PipelineConfig) -> float:
+# the table plane each scene's depth scale is measured against
+_PLANE_THRESHOLD_MM = 0.3
+_PLANE_ITERATIONS = 100
+_PLANE_SAMPLE_CAP = 20000
+
+
+def _scene_scale(session, record, pose_depth, seed: int) -> float:
     depth = fileio.read_depth_pfm(session.resolve(record.depth_path))
     cloud = backproject(session.depth_camera, depth)
     positions = invert(pose_depth).apply(cloud.positions)
-    if len(positions) > config.plane_sample_cap:
-        rng = np.random.default_rng(config.seed + record.index)
-        pick = rng.choice(len(positions), size=config.plane_sample_cap, replace=False)
+    if len(positions) > _PLANE_SAMPLE_CAP:
+        rng = np.random.default_rng(seed + record.index)
+        pick = rng.choice(len(positions), size=_PLANE_SAMPLE_CAP, replace=False)
         positions = positions[np.sort(pick)]
     plane, _ = fit_plane_ransac(
-        PointCloud(positions),
-        config.plane_threshold_mm,
-        config.plane_iterations,
-        config.seed + record.index,
+        PointCloud(positions), _PLANE_THRESHOLD_MM, _PLANE_ITERATIONS, seed + record.index
     )
     return estimate_scale_scene(plane, invert(pose_depth).translation)
 
 
 def run_calibrate(
     session: CaptureSession,
-    config: PipelineConfig | None = None,
+    config: PipelineConfig = PipelineConfig(),
     out_dir=None,
 ) -> CalibrationBundle:
     """Solve per-scene poses, the camera-to-camera extrinsic, and depth scale.
@@ -362,7 +351,6 @@ def run_calibrate(
     MissingCorners
         If a scene's corners file is absent.
     """
-    config = config or PipelineConfig()
     stage_dir = _stage_dir(session, out_dir, "calibrate")
 
     rgb_poses: list[RigidTransform] = []
@@ -392,11 +380,9 @@ def run_calibrate(
     def scale_one(pair):
         record, pose_depth = pair
         with _stage_context("scale", record.index):
-            return _scene_scale(session, record, pose_depth, config)
+            return _scene_scale(session, record, pose_depth, config.seed)
 
-    per_scene = _parallel_map(
-        scale_one, list(zip(session.scenes, depth_poses)), _worker_count(config)
-    )
+    per_scene = _parallel_map(scale_one, list(zip(session.scenes, depth_poses)), _worker_count())
     with _stage_context("scale"):
         estimate = ScaleEstimate([float(a) for a in per_scene])
 
@@ -416,22 +402,32 @@ def run_calibrate(
 # ---------------------------------------------------------------------------
 
 
-def _crop_box(session: CaptureSession, config: PipelineConfig) -> Aabb:
+_CROP_CLEARANCE_MM = 0.8  # the crop's floor above the table plane
+_DENOISE_K = 12
+_DENOISE_STD_RATIO = 2.0
+_NORMALS_K = 10
+_FUSION_VOXEL_MM = 0.5
+_TRIM_FRACTION = 0.6  # central share of each cloud's z extent that ICP registers
+
+
+def _crop_box(session: CaptureSession) -> Aabb:
     box = session.bounding_box
     return Aabb(
-        np.array([box.x_min, box.y_min, config.crop_clearance_mm]),
+        np.array([box.x_min, box.y_min, _CROP_CLEARANCE_MM]),
         np.array([box.x_max, box.y_max, box.height_mm]),
     )
 
 
-def _process_scene(session, record, pose_depth, pose_rgb, alpha, box, config) -> PointCloud:
+def _process_scene(session, bundle: CalibrationBundle, box: Aabb, record) -> PointCloud:
     """One capture to a cropped, denoised, colored, oriented cloud in the
     reference frame."""
+    pose_depth = bundle.depth_poses[record.index]
+    pose_rgb = bundle.rgb_poses[record.index]
     with _stage_context("read", record.index):
         depth = fileio.read_depth_pfm(session.resolve(record.depth_path))
         image = fileio.read_image_ppm(session.resolve(record.rgb_path))
     with _stage_context("scale", record.index):
-        depth = apply_scale(depth, alpha)
+        depth = apply_scale(depth, bundle.alpha)
     with _stage_context("backproject", record.index):
         cam_cloud = backproject(session.depth_camera, depth)
         ref_cloud = transform_points(invert(pose_depth), cam_cloud)
@@ -440,9 +436,7 @@ def _process_scene(session, record, pose_depth, pose_rgb, alpha, box, config) ->
         if len(cropped) == 0:
             raise EmptyInput("bounding-box crop left no points")
     with _stage_context("denoise", record.index):
-        denoised, _ = remove_statistical_outliers(
-            cropped, config.denoise_k, config.denoise_std_ratio
-        )
+        denoised, _ = remove_statistical_outliers(cropped, _DENOISE_K, _DENOISE_STD_RATIO)
     with _stage_context("color", record.index):
         cam_pts = pose_rgb.apply(denoised.positions)
         uv, in_front = project_points(session.rgb_camera, cam_pts)
@@ -453,13 +447,13 @@ def _process_scene(session, record, pose_depth, pose_rgb, alpha, box, config) ->
             raise EmptyInput("no cropped point projects into the RGB view")
     with _stage_context("normals", record.index):
         colored = PointCloud(positions, colors=colors)
-        return estimate_normals(colored, config.normals_k, invert(pose_depth).translation)
+        return estimate_normals(colored, _NORMALS_K, invert(pose_depth).translation)
 
 
 def run_reconstruct(
     session: CaptureSession,
     bundle: CalibrationBundle,
-    config: PipelineConfig | None = None,
+    config: PipelineConfig = PipelineConfig(),
     out_dir=None,
 ) -> ReconstructionResult:
     """Fuse all scenes into a registered cloud, mesh it, and re-dye it.
@@ -469,27 +463,13 @@ def run_reconstruct(
     A session captured in a single orientation skips registration and
     reconstructs an open-bottom mesh with a warning.
     """
-    config = config or PipelineConfig()
     if len(bundle.rgb_poses) != len(session.scenes):
         raise ValidationError(
             f"bundle covers {len(bundle.rgb_poses)} scenes, session has {len(session.scenes)}"
         )
     stage_dir = _stage_dir(session, out_dir, "reconstruct")
-    alpha = 1.0 if config.force_unit_scale else bundle.alpha
-    box = _crop_box(session, config)
-
-    def process(record):
-        return _process_scene(
-            session,
-            record,
-            bundle.depth_poses[record.index],
-            bundle.rgb_poses[record.index],
-            alpha,
-            box,
-            config,
-        )
-
-    clouds = _parallel_map(process, list(session.scenes), _worker_count(config))
+    process = partial(_process_scene, session, bundle, _crop_box(session))
+    clouds = _parallel_map(process, list(session.scenes), _worker_count())
     identity = RigidTransform.identity()
 
     fused: dict[bool, PointCloud] = {}
@@ -503,7 +483,7 @@ def run_reconstruct(
             continue
         with _stage_context("fuse"):
             combined = fuse([(cloud, identity) for cloud in members])
-            fused[flipped] = voxel_downsample(combined, config.fusion_voxel_mm)
+            fused[flipped] = voxel_downsample(combined, _FUSION_VOXEL_MM)
         name = "fused_flipped.ply" if flipped else "fused_upright.ply"
         fileio.write_point_cloud(stage_dir / name, fused[flipped])
 
@@ -527,23 +507,22 @@ def run_reconstruct(
             upright, flipped_cloud = fused[False], fused[True]
             guess = initial_flip_guess(upright, flipped_cloud)
             moved = transform_points(guess, flipped_cloud)
-            band_source = trim_overlap_band(moved, config.trim_fraction)
-            band_target = trim_overlap_band(upright, config.trim_fraction)
-            result = colored_icp(band_source, band_target, identity, config.icp_params())
+            band_source = trim_overlap_band(moved, _TRIM_FRACTION)
+            band_target = trim_overlap_band(upright, _TRIM_FRACTION)
+            result = colored_icp(band_source, band_target, identity, IcpParams())
             total = compose(result.transform, guess)
             aligned = transform_points(total, flipped_cloud)
             rmse = result.final_rmse
             converged = result.converged
         with _stage_context("merge"):
             merged = voxel_downsample(
-                fuse([(upright, identity), (aligned, identity)]),
-                config.fusion_voxel_mm,
+                fuse([(upright, identity), (aligned, identity)]), _FUSION_VOXEL_MM
             )
     fileio.write_point_cloud(stage_dir / "merged.ply", merged)
 
     with _stage_context("mesh"):
         mesh = reconstruct_mesh(merged, config.grid_dims)
-        mesh = refine_vertices(mesh, merged, config.refine_k, config.refine_step_mm)
+        mesh = refine_vertices(mesh, merged)
     fileio.write_mesh(stage_dir / "mesh.ply", mesh)
 
     with _stage_context("redye"):
@@ -562,7 +541,7 @@ def run_reconstruct(
     fileio.write_json_file(
         stage_dir / "report.json",
         {
-            "alpha_used": alpha,
+            "alpha_used": bundle.alpha,
             "registration_rmse_mm": _json_number(rmse),
             "registration_converged": converged,
             "single_orientation": single_orientation,
@@ -620,7 +599,7 @@ def run_evaluate(
     bundle: CalibrationBundle,
     reference_dims,
     registration_rmse_mm: float = float("nan"),
-    views: tuple[int, ...] | None = None,
+    views: tuple[int, ...] = PipelineConfig().eval_views,
     out_dir=None,
 ) -> EvaluationReport:
     """Measure the mesh against reference dimensions and captured views.
@@ -640,7 +619,6 @@ def run_evaluate(
     """
     if len(mesh.vertices) == 0 or len(mesh.triangles) == 0:
         raise EmptyInput("evaluation needs a nonempty mesh")
-    views = views if views is not None else PipelineConfig().eval_views
     _check_view_indices(views)
     # the default views suit sessions of any size because indices past the
     # scene count are dropped

@@ -8,6 +8,7 @@ chessboard geometry, and a rough object bounding box used for cropping.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,10 +32,11 @@ class BoundingBox:
     height_mm: float
 
     def __post_init__(self):
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
-            raise ValidationError("bounding box base rectangle is empty")
-        if self.height_mm <= 0:
-            raise ValidationError("bounding box height must be positive")
+        inf = math.inf
+        if not (-inf < self.x_min < self.x_max < inf and -inf < self.y_min < self.y_max < inf):
+            raise ValidationError("bounding box base rectangle must be finite and nonempty")
+        if not 0 < self.height_mm < inf:
+            raise ValidationError("bounding box height must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -210,6 +210,8 @@ class NoiseModel:
             raise ValidationError("pose jitter must be non-negative")
         if not 0.0 <= self.dropout_prob < 1.0:
             raise ValidationError("dropout probability must lie in [0, 1)")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ValidationError(f"noise seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

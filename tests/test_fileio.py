@@ -191,6 +191,17 @@ def test_corners_bad_header_and_row(tmp_path):
         fileio.read_corners(path)
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN"])
+def test_corners_reject_non_finite_coordinates(tmp_path, token):
+    path = tmp_path / "corners.txt"
+    head = "pnp-corners v1\n1 2 0 3 4\n"
+    path.write_text(head + f"5 6 0 {token} 8\n")
+    with pytest.raises(errors.ParseError) as excinfo:
+        fileio.read_corners(path)
+    assert excinfo.value.offset == len(head)
+    assert excinfo.value.expected == "finite X Y Z u v"
+
+
 def test_json_roundtrip_and_parse_error(tmp_path):
     path = tmp_path / "doc.json"
     fileio.write_json_file(path, {"b": [1, 2.5], "a": {"x": "y"}})
@@ -213,6 +224,16 @@ def test_json_writer_rejects_non_finite_numbers(tmp_path):
     assert not path.exists()
     fileio.write_json_file(path, {"a": None})
     assert path.read_text() == '{\n  "a": null\n}\n'
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_json_reader_rejects_non_finite_numbers(tmp_path, token):
+    path = tmp_path / "doc.json"
+    head = '{"NaN Infinity": [1, 2.5e3, true, null, "x\\"y"], "b": '
+    path.write_text(head + token + "}")
+    with pytest.raises(errors.ParseError, match="doc.json") as excinfo:
+        fileio.read_json_file(path)
+    assert (excinfo.value.offset, excinfo.value.expected) == (len(head), "a finite number")
 
 
 def test_pose_rows_roundtrip():

@@ -60,6 +60,12 @@ def test_plane_normal_must_be_unit():
         Plane(np.array([1.0, 1.0, 0.0]), 0.0)
 
 
+def test_camera_rejects_non_finite_focal_lengths():
+    for fx, fy in ((np.nan, 500.0), (500.0, np.inf), (0.0, 500.0)):
+        with pytest.raises(errors.ValidationError, match="focal"):
+            PinholeCamera(fx, fy, 320.0, 240.0, 640, 480)
+
+
 # ----------------------------------------------------------------- compose
 
 

@@ -16,7 +16,13 @@ from turnscan.errors import (
     ParseError,
     ValidationError,
 )
-from turnscan.geometry import PinholeCamera, RigidTransform, TriangleMesh, rasterize_mesh_mask
+from turnscan.geometry import (
+    DepthMap,
+    PinholeCamera,
+    RigidTransform,
+    TriangleMesh,
+    rasterize_mesh_mask,
+)
 from turnscan.pipeline import (
     CalibrationBundle,
     PipelineConfig,
@@ -183,10 +189,7 @@ def test_skipping_scale_correction_hurts_dimensions(
 ):
     corrected = run_reconstruct(clean_session, clean_bundle, FAST, tmp_path / "on")
     uncorrected = run_reconstruct(
-        clean_session,
-        clean_bundle,
-        dataclasses.replace(FAST, force_unit_scale=True),
-        tmp_path / "off",
+        clean_session, dataclasses.replace(clean_bundle, alpha=1.0), FAST, tmp_path / "off"
     )
 
     def dim_error(cloud):
@@ -444,21 +447,26 @@ def test_config_payload_rejects_unknown_keys():
 
 
 def test_config_payload_coerces_lists():
-    config = config_from_payload(
-        {"icp_voxel_schedule_mm": [4.0, 2.0], "icp_iterations": [10, 5], "grid_dims": 48}
-    )
-    assert config.icp_voxel_schedule_mm == (4.0, 2.0)
-    assert config.icp_params().max_iterations == (10, 5)
+    config = config_from_payload({"eval_views": [0, 8], "grid_dims": 48})
+    assert config.eval_views == (0, 8)
     assert config.grid_dims == 48
 
 
+def test_readme_lists_every_config_key():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    (line,) = [ln for ln in readme.read_text().splitlines() if ln.startswith("Config keys:")]
+    listed = set(line.removeprefix("Config keys:").replace("`", "").strip(" .").split(", "))
+    assert listed == {f.name for f in dataclasses.fields(PipelineConfig)}
+
+
 def test_config_validates_ranges():
-    with pytest.raises(ValidationError):
-        PipelineConfig(workers=0)
-    with pytest.raises(ValidationError):
-        PipelineConfig(trim_fraction=0.0)
-    with pytest.raises(ValidationError):
-        PipelineConfig(fusion_voxel_mm=-1.0)
+    for seed in ("a", 1.5, -1, True, [0], np.int64(3)):
+        with pytest.raises(ValidationError, match="seed"):
+            PipelineConfig(seed=seed)
+    for dims in (7, "64", 64.0, False, (64, 64, 64), np.int64(64)):
+        with pytest.raises(ValidationError, match="grid_dims"):
+            PipelineConfig(grid_dims=dims)
+    assert PipelineConfig(seed=0, grid_dims=8).grid_dims == 8
     for views in ((), [0, 8], (1.5,), (-1,), (0, True), (np.int64(3),)):
         with pytest.raises(ValidationError, match="eval_views"):
             PipelineConfig(eval_views=views)
@@ -623,7 +631,29 @@ def test_cli_bad_config_exits_2(clean_dir, tmp_path, capsys):
     assert "grid_dimz" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, value", [("redye_mode", "best"), ("redye_radius_factor", 100.0)])
+REMOVED_CONFIG_KEYS = [
+    ("redye_mode", "best"),
+    ("redye_radius_factor", 100.0),
+    ("workers", 4),
+    ("fusion_voxel_mm", 0.5),
+    ("crop_clearance_mm", 0.8),
+    ("denoise_k", 12),
+    ("denoise_std_ratio", 2.0),
+    ("normals_k", 10),
+    ("plane_threshold_mm", 0.3),
+    ("plane_iterations", 100),
+    ("plane_sample_cap", 20000),
+    ("trim_fraction", 0.6),
+    ("icp_voxel_schedule_mm", [4.0, 2.0, 1.0]),
+    ("icp_iterations", [50, 30, 14]),
+    ("icp_color_weight", 0.968),
+    ("refine_k", 48),
+    ("refine_step_mm", 1.0),
+    ("force_unit_scale", False),
+]
+
+
+@pytest.mark.parametrize("key, value", REMOVED_CONFIG_KEYS)
 def test_cli_removed_config_keys_exit_2_before_any_stage(clean_dir, tmp_path, capsys, key, value):
     bad = tmp_path / "removed.json"
     bad.write_text(json.dumps({key: value}))
@@ -660,6 +690,85 @@ def set_item(path, value):
 
 def keep_one_scene(payload):
     payload["scenes"] = payload["scenes"][:1]
+
+
+@pytest.mark.parametrize(
+    "payload, seed_flag",
+    [
+        ({"seed": "a"}, None),
+        ({"seed": 1.5}, None),
+        ({"seed": -1}, None),
+        ({}, "-1"),
+        ({"grid_dims": 7}, None),
+        ({"grid_dims": "64"}, None),
+    ],
+    ids=["seed-a", "seed-1.5", "seed-negative", "seed-flag-negative", "grid-7", "grid-string"],
+)
+def test_cli_malformed_seed_or_grid_exits_2_before_any_stage(
+    clean_dir, tmp_path, capsys, payload, seed_flag
+):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    argv = ["calibrate", "--session", str(clean_dir / "session.json"), "--config", str(config)]
+    argv += ["--out", str(out)] + (["--seed", seed_flag] if seed_flag else [])
+    rc = cli_main(argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and next(iter(payload), "seed") in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_simulate_negative_seed_exits_2(tmp_path, capsys):
+    rc = cli_main(["simulate", "--out", str(tmp_path / "session"), "--seed", "-1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed" in err and "Traceback" not in err
+    assert not (tmp_path / "session").exists()
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        set_item(("depth_camera", "fx"), float("nan")),
+        set_item(("bounding_box", "height_mm"), float("inf")),
+        set_item(("rgb_camera", "fy"), "nan"),
+        set_item(("bounding_box", "height_mm"), "inf"),
+    ],
+    ids=["fx-NaN", "height-Infinity", "fy-nan-string", "height-inf-string"],
+)
+def test_cli_non_finite_manifest_exits_2_before_any_stage(
+    clean_dir, tmp_path, capsys, request, mutate
+):
+    manifest = rewrite_manifest(clean_dir, f"session_{request.node.callspec.id}.json", mutate)
+    out = tmp_path / "out"
+    rc = cli_main(["all", "--session", str(manifest), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("token", ["nan", "inf"])
+def test_cli_non_finite_corner_exits_2(clean_dir, clean_session, tmp_path, capsys, token):
+    record = clean_session.scenes[0]
+    source = clean_session.resolve(record.corners_rgb_path)
+    relative = Path(record.corners_rgb_path).with_name(f"corners_{token}.txt").as_posix()
+    lines = source.read_text().splitlines(keepends=True)
+    row = lines[1].split()
+    lines[1] = " ".join(row[:3] + [token] + row[4:]) + "\n"
+    clean_session.resolve(relative).write_text("".join(lines))
+
+    def point_at_mutated(payload):
+        payload["scenes"][0]["corners_rgb"] = relative
+
+    manifest = rewrite_manifest(clean_dir, f"session_corner_{token}.json", point_at_mutated)
+    rc = cli_main(["calibrate", "--session", str(manifest), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "stage=pnp scene=0" in err and "finite X Y Z u v" in err
+    assert f"byte {len(lines[0])}," in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -787,19 +896,16 @@ def test_cli_reconstruct_without_bundle_exits_2(clean_dir, tmp_path, capsys):
 def test_cli_numerical_failure_exits_3(tmp_path, capsys):
     rig = dataclasses.replace(quarter_rig(), angles=1, angle_step_deg=360.0)
     noise = sim.NoiseModel(depth_sigma_mm=0.1, seed=7)
-    sim.generate_session(rig, sim.default_scene(), noise, tmp_path / "noisy")
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({"plane_threshold_mm": 1e-9}))
+    session = sim.generate_session(rig, sim.default_scene(), noise, tmp_path / "noisy")
+    # depths scattered at random hold no table plane for the scale fit
+    rng = np.random.default_rng(7)
+    for record in session.scenes:
+        path = session.resolve(record.depth_path)
+        depth = fileio.read_depth_pfm(path)
+        values = rng.uniform(300.0, 900.0, depth.values.shape)
+        fileio.write_depth_pfm(path, DepthMap(depth.width, depth.height, values))
 
-    rc = cli_main(
-        [
-            "calibrate",
-            "--session",
-            str(tmp_path / "noisy" / "session.json"),
-            "--config",
-            str(config_path),
-        ]
-    )
+    rc = cli_main(["calibrate", "--session", str(tmp_path / "noisy" / "session.json")])
 
     assert rc == 3
     err = capsys.readouterr().err
